@@ -84,26 +84,34 @@ def _auto_method(instance: Instance, spec: CompactnessSpec, goal: FairnessGoal) 
 
 
 def _solve_with(method: str, instance: Instance, spec: CompactnessSpec,
-                goal: FairnessGoal, args) -> Optional[Allocation]:
+                goal: FairnessGoal, args) -> tuple[Optional[Allocation], Optional[list[int]]]:
+    """The allocation the method finds, and for the mms goal every agent's
+    maximin share as the same solve computed it (None for other goals)."""
+    maximin = goal is FairnessGoal.MAXIMIN
     if method == "oracle":
-        return oracle.solve_oracle(instance, spec, goal)
+        if maximin:
+            return oracle.maximin_oracle(instance, spec)
+        return oracle.solve_oracle(instance, spec, goal), None
     if method == "enum":
-        return enum_solver.solve_enum(instance, spec, goal)
+        if maximin:
+            return enum_solver.maximin_enum(instance, spec)
+        return enum_solver.solve_enum(instance, spec, goal), None
     if method == "matching":
         if (spec.alpha, spec.beta) != (1, 0):
             raise ValueError("the matching solver handles alpha=1, beta=0 only")
         if goal is FairnessGoal.PROPORTIONAL:
-            return matching.solve_prop_10(instance)
-        if goal is FairnessGoal.MAXIMIN:
-            return matching.solve_mms_10(instance)
+            return matching.solve_prop_10(instance), None
+        if maximin:
+            alloc = matching.solve_mms_10(instance)
+            return alloc, [matching.mms_10(instance, i) for i in range(instance.n)]
         if goal is FairnessGoal.EF_COMPLETE and instance.m == instance.n:
             # with m == n, one item each is the only complete shape
-            return matching.solve_ef_one_item(instance)
+            return matching.solve_ef_one_item(instance), None
         raise ValueError(f"the matching solver does not support goal {goal.value}")
     if method == "path-dp":
         if spec.alpha != 1 or goal is not FairnessGoal.PROPORTIONAL:
             raise ValueError("the path DP handles alpha=1 with the prop goal only")
-        return path_dp.solve_prop_path_agents(PathInstance(instance), spec.beta, spec.strong)
+        return path_dp.solve_prop_path_agents(PathInstance(instance), spec.beta, spec.strong), None
     if method == "tw-dp":
         td = None
         if getattr(args, "td", None):
@@ -111,7 +119,10 @@ def _solve_with(method: str, instance: Instance, spec: CompactnessSpec,
                 td = parse_td(fh.read())
             if not validate_td(instance.graph(), td):
                 raise ValueError("the supplied decomposition is invalid for this graph")
-        return tw_dp.solve_tw(instance, spec, goal, td=td, jobs=getattr(args, "jobs", 1))
+        jobs = getattr(args, "jobs", 1)
+        if maximin:
+            return tw_dp.maximin_tw(instance, spec, td=td, jobs=jobs)
+        return tw_dp.solve_tw(instance, spec, goal, td=td, jobs=jobs), None
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -141,15 +152,12 @@ def cmd_solve(args) -> int:
     if method == "auto":
         method = _auto_method(instance, spec, goal)
         print(f"method: {method}", file=sys.stderr)
-    alloc = _solve_with(method, instance, spec, goal, args)
+    alloc, mms = _solve_with(method, instance, spec, goal, args)
     if alloc is None:
         _emit({"answer": "no"})
         return 0
     if not is_compact_allocation(instance, alloc, spec):
         raise RuntimeError("solver returned a non-compact allocation")
-    mms = None
-    if goal is FairnessGoal.MAXIMIN:
-        mms = [_mms_with(method, instance, spec, i, args) for i in range(instance.n)]
     _emit(_alloc_payload(instance, alloc, mms))
     return 0
 
@@ -159,8 +167,6 @@ def _mms_with(method: str, instance: Instance, spec: CompactnessSpec, agent: int
         return matching.mms_10(instance, agent)
     if method == "tw-dp":
         return tw_dp.mms_tw(instance, spec, agent)
-    if method == "enum":
-        return enum_solver.mms_enum(instance, spec)[agent]
     return oracle.mms_oracle(instance, spec, agent)
 
 

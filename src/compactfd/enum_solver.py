@@ -93,10 +93,8 @@ def solve_enum(
 ) -> Optional[Allocation]:
     """First enumerated compact allocation satisfying the goal, or None.
 
-    Maximin runs two passes: the first computes every agent's maximin share
-    over the enumerated class, the second filters by those thresholds.
-    ef-po uses the exhaustive utility-vector dominance check, so it is only
-    sensible at oracle scale.
+    Maximin is `maximin_enum`.  ef-po uses the exhaustive utility-vector
+    dominance check, so it is only sensible at oracle scale.
     """
     n = instance.n
 
@@ -133,15 +131,26 @@ def solve_enum(
         return None
 
     if goal is FairnessGoal.MAXIMIN:
-        thresholds = mms_enum(instance, spec, budget)
-        for alloc in enumerate_compact_allocations(instance, spec, budget):
-            if all(
-                bundle_value(instance, i, alloc.bundles[i]) >= thresholds[i] for i in range(n)
-            ):
-                return alloc
-        return None
+        return maximin_enum(instance, spec, budget)[0]
 
     raise ValueError(f"unknown goal {goal!r}")
+
+
+def maximin_enum(
+    instance: Instance, spec: CompactnessSpec, budget: int = DEFAULT_WORK_BUDGET
+) -> tuple[Optional[Allocation], list[int]]:
+    """Every agent's maximin share, and the first enumerated compact
+    allocation giving each agent at least hers, or None.
+
+    Two passes: the first computes the shares over the enumerated class, the
+    second filters by them.
+    """
+    thresholds = mms_enum(instance, spec, budget)
+    n = instance.n
+    for alloc in enumerate_compact_allocations(instance, spec, budget):
+        if all(bundle_value(instance, i, alloc.bundles[i]) >= thresholds[i] for i in range(n)):
+            return alloc, thresholds
+    return None, thresholds
 
 
 def mms_enum(

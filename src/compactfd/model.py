@@ -206,6 +206,23 @@ def instance_to_dict(instance: Instance) -> dict:
     }
 
 
+def _json_int(x, what: str) -> int:
+    """An integer read from JSON.  Booleans and numbers with a fractional part
+    are rejected instead of being truncated; an integral float such as 2.0 is
+    taken as the integer it equals."""
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def _json_list(x, what: str) -> list:
+    if not isinstance(x, list):
+        raise ValueError(f"{what} must be a list, got {x!r}")
+    return x
+
+
 def instance_from_dict(data: dict) -> Instance:
     if not isinstance(data, dict):
         raise ValueError("instance JSON must be an object")
@@ -215,21 +232,25 @@ def instance_from_dict(data: dict) -> Instance:
     agents = data["agents"]
     if not isinstance(agents, list) or not agents:
         raise ValueError("agents must be a non-empty list")
+    edges = [
+        [_json_int(z, "an edge endpoint") for z in _json_list(e, "an edge")]
+        for e in _json_list(data["edges"], "edges")
+    ]
     values = []
     names = []
     named = False
     for entry in agents:
         if not isinstance(entry, dict) or "values" not in entry:
             raise ValueError("each agent needs a values row")
-        values.append(entry["values"])
+        values.append([_json_int(x, "a value") for x in _json_list(entry["values"], "values")])
         if "name" in entry:
             named = True
             names.append(str(entry["name"]))
         else:
             names.append("")
     return Instance(
-        int(data["m"]),
-        data["edges"],
+        _json_int(data["m"], "m"),
+        edges,
         values,
         agent_names=names if named else None,
     )

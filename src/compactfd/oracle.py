@@ -240,12 +240,22 @@ def solve_oracle(
         return None
 
     if goal is FairnessGoal.MAXIMIN:
-        thresholds = mms_all(instance, spec, budget)
-        for digits, masks, vals in _scan(instance, spec):
-            if all(vals[i] >= thresholds[i] for i in range(n)) and all(
-                cache.check_mask(mk) for mk in masks
-            ):
-                return _allocation_from_digits(instance, digits)
-        return None
+        return maximin_oracle(instance, spec, budget)[0]
 
     raise ValueError(f"unknown goal {goal!r}")
+
+
+def maximin_oracle(
+    instance: Instance, spec: CompactnessSpec, budget: Optional[OracleBudget] = None
+) -> tuple[Optional[Allocation], list[int]]:
+    """Every agent's maximin share, and the first allocation (in enumeration
+    order) that is spec-compact and gives each agent at least hers, or None."""
+    thresholds = mms_all(instance, spec, budget)
+    n = instance.n
+    cache = BundleCompactnessCache(instance, spec)
+    for digits, masks, vals in _scan(instance, spec):
+        if all(vals[i] >= thresholds[i] for i in range(n)) and all(
+            cache.check_mask(mk) for mk in masks
+        ):
+            return _allocation_from_digits(instance, digits), thresholds
+    return None, thresholds

@@ -6,9 +6,20 @@ included), a distance label f(z) in [0, beta] for each owned bag vertex, and
 a rooted partition of those vertices into the connected components of a
 witness forest; plus the full n x n matrix w of values agents assign to the
 bundles built so far.  A state is stored iff some allocation of the swept
-subgraph realizes it; the root slice then lists exactly the achievable value
+subgraph realizes it with labels no smaller than hub distances (below); the
+root slice then lists exactly the achievable value
 matrices of annotated allocations, and the fairness drivers read their
 answers off that slice instead of looping over candidate matrices.
+
+A label is a depth in the witness tree, which is at least the distance
+inside the bundle and so at least the graph distance from the hub.  Vertex z
+is therefore introduced for agent i only with labels
+max(1, d_G(hub_i, z)) .. beta: a smaller label could never reach the root,
+so leaving it out shrinks the tables and leaves the root slice unchanged.
+
+The maximin driver returns every agent's share together with the
+allocation, so one pass over the annotated instances answers
+`solve --goal mms`.
 
 State keys are nested tuples: per agent (S, f, blocks, roots) with S sorted,
 f aligned to S, blocks sorted by first member, roots sorted; w is a flat
@@ -27,7 +38,7 @@ from .annotate import (
     count_center_tuples,
     lift_allocation,
 )
-from .compactness import ball, induced_subgraph, is_annotated
+from .compactness import bfs_distances, induced_subgraph, is_annotated
 from .model import (
     Allocation,
     CompactnessSpec,
@@ -143,7 +154,11 @@ class DPContext:
         self.beta = self.ann.beta
         self.hubs = self.ann.hubs
         graph = inst.graph()
-        self.hub_ball = [ball(graph, h, self.beta) for h in self.hubs]
+        # per hub: graph distance to every vertex within beta of it
+        self.hub_dist = [
+            {v: d for v, d in bfs_distances(graph, h).items() if d <= self.beta}
+            for h in self.hubs
+        ]
         self.wmax = max(total_value(inst, i) for i in range(inst.n))
 
 
@@ -167,7 +182,8 @@ def introduce_vertex_transition(
             out.setdefault(state, ("skip", state))
         agents, w = state
         for i in range(n):
-            if z not in ctx.hub_ball[i]:
+            dist = ctx.hub_dist[i].get(z)
+            if dist is None:
                 continue
             s_i, f_i, blocks, roots = agents[i]
             new_s = tuple(sorted(s_i + (z,)))
@@ -177,7 +193,7 @@ def introduce_vertex_transition(
             neww = list(w)
             for p in range(n):
                 neww[p * n + i] += ctx.values[p][z]
-            for fv in range(1, ctx.beta + 1):
+            for fv in range(max(1, dist), ctx.beta + 1):
                 new_f = f_i[:pos] + (fv,) + f_i[pos:]
                 new_agents = (
                     agents[:i]
@@ -435,7 +451,9 @@ def _nice_for(ann: AnnotatedInstance, base_td: Optional[TreeDecomposition]) -> N
     return nicefy(td, graph, anchors=ann.hubs)
 
 
-def _check_tuple_budget(instance: Instance, spec: CompactnessSpec, max_tuples: Optional[int]):
+def _check_input(instance: Instance, spec: CompactnessSpec, max_tuples: Optional[int]):
+    if spec.strong:
+        raise ValueError("no annotated reduction for the strongly compact class")
     if max_tuples is not None:
         count = count_center_tuples(instance.m, spec.alpha, instance.n)
         if count > max_tuples:
@@ -462,7 +480,12 @@ def _weight_sets(
     base_td: Optional[TreeDecomposition],
     jobs: int,
 ):
-    """Yield (centers, sorted root weights) per annotated instance."""
+    """Yield (centers, sorted root weights, table) per annotated instance.
+
+    `table` is the swept RootTable, or None when there is none at hand: a
+    tuple skipped for pruning under a complete goal, or a sweep run in a
+    worker process.
+    """
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -476,14 +499,14 @@ def _weight_sets(
         ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for centers, weights in zip(tuples, pool.map(_tau_worker, payloads)):
-                yield centers, weights
+                yield centers, weights, None
         return
     for ann in build_annotated_instances(instance, spec):
         if complete and not ann.prunes_nothing:
-            yield ann.centers, []
+            yield ann.centers, [], None
             continue
         table = run_dp(ann, _nice_for(ann, base_td), complete=complete)
-        yield ann.centers, sorted(table.root_weights())
+        yield ann.centers, sorted(table.root_weights()), table
 
 
 def _witness(
@@ -499,6 +522,55 @@ def _witness(
     return lift_allocation(ann, table.extract(table.root_state_for(w)))
 
 
+def _first_hit(
+    instance: Instance,
+    spec: CompactnessSpec,
+    weight_sets,
+    accept,
+    complete: bool,
+    base_td: Optional[TreeDecomposition],
+) -> Optional[Allocation]:
+    """Witness for the first root matrix that `accept` admits, read off the
+    swept table when the stream carries one, else by re-running its tuple."""
+    for centers, weights, table in weight_sets:
+        for w in weights:
+            if accept(w):
+                if table is None:
+                    return _witness(instance, spec, centers, w, complete, base_td)
+                return lift_allocation(table.ann, table.extract(table.root_state_for(w)))
+    return None
+
+
+def _thresholds(weight_sets, n: int) -> list[int]:
+    """Every agent's maximin share: her best worst-bundle value over all
+    reachable root matrices."""
+    best = [0] * n
+    for _centers, weights, _table in weight_sets:
+        for w in weights:
+            for i in range(n):
+                worst = min(w[i * n : (i + 1) * n])
+                if worst > best[i]:
+                    best[i] = worst
+    return best
+
+
+def _goal_test(instance: Instance, goal: FairnessGoal, thresholds: Optional[list[int]] = None):
+    """Predicate on flat root matrices for a goal the root slice decides;
+    maximin needs the agents' `thresholds`."""
+    n = instance.n
+    if goal is FairnessGoal.PROPORTIONAL:
+        totals = [total_value(instance, i) for i in range(n)]
+        return lambda w: all(n * w[i * n + i] >= totals[i] for i in range(n))
+    if goal is FairnessGoal.EF_COMPLETE:
+        return lambda w: all(w[i * n + i] >= w[i * n + j] for i in range(n) for j in range(n))
+    if goal is FairnessGoal.MAX_WELFARE:
+        target = max_welfare_upper(instance)
+        return lambda w: sum(w[i * n + i] for i in range(n)) == target
+    if goal is FairnessGoal.MAXIMIN:
+        return lambda w: all(w[i * n + i] >= thresholds[i] for i in range(n))
+    raise ValueError(f"unknown goal {goal!r}")
+
+
 def mms_tw_all(
     instance: Instance,
     spec: CompactnessSpec,
@@ -506,18 +578,8 @@ def mms_tw_all(
     max_tuples: Optional[int] = None,
 ) -> list[int]:
     """Maximin share of every agent, from one pass over the annotated instances."""
-    if spec.strong:
-        raise ValueError("no annotated reduction for the strongly compact class")
-    _check_tuple_budget(instance, spec, max_tuples)
-    n = instance.n
-    best = [0] * n
-    for _centers, weights in _weight_sets(instance, spec, False, td, 1):
-        for w in weights:
-            for i in range(n):
-                worst = min(w[i * n + j] for j in range(n))
-                if worst > best[i]:
-                    best[i] = worst
-    return best
+    _check_input(instance, spec, max_tuples)
+    return _thresholds(_weight_sets(instance, spec, False, td, 1), instance.n)
 
 
 def mms_tw(
@@ -534,6 +596,27 @@ def mms_tw(
     return mms_tw_all(instance, spec, td, max_tuples)[agent]
 
 
+def maximin_tw(
+    instance: Instance,
+    spec: CompactnessSpec,
+    td: Optional[TreeDecomposition] = None,
+    max_tuples: Optional[int] = None,
+    jobs: int = 1,
+) -> tuple[Optional[Allocation], list[int]]:
+    """Every agent's maximin share, and an allocation giving each agent at
+    least hers (None if there is none), from one pass over the annotated
+    instances.
+
+    Only the root weights of each tuple are kept, not its tables, so the
+    witness re-runs the DP of the tuple it comes from.
+    """
+    _check_input(instance, spec, max_tuples)
+    collected = [(c, ws, None) for c, ws, _table in _weight_sets(instance, spec, False, td, jobs)]
+    thresholds = _thresholds(collected, instance.n)
+    accept = _goal_test(instance, FairnessGoal.MAXIMIN, thresholds)
+    return _first_hit(instance, spec, collected, accept, False, td), thresholds
+
+
 def solve_tw(
     instance: Instance,
     spec: CompactnessSpec,
@@ -548,58 +631,23 @@ def solve_tw(
     ef-po is answered by the exhaustive oracle; Pareto-optimality is not a
     function of the DP state, so this route is desk scale only.  With
     `complete` goals, tuples whose pruning drops any vertex are answered
-    "no" directly (a dropped vertex can never be allocated).
+    "no" directly (a dropped vertex can never be allocated).  prop, welfare
+    and ef-complete stop at the first tuple whose root slice meets the goal
+    and read the witness off that tuple's tables; mms is `maximin_tw`.
     """
-    if spec.strong:
-        raise ValueError("no annotated reduction for the strongly compact class")
     if goal is FairnessGoal.EF_PARETO:
+        _check_input(instance, spec, None)
         from .oracle import solve_oracle
 
         return solve_oracle(instance, spec, goal)
-    _check_tuple_budget(instance, spec, max_tuples)
-    n = instance.n
+    if goal is FairnessGoal.MAXIMIN:
+        return maximin_tw(instance, spec, td, max_tuples, jobs)[0]
+    _check_input(instance, spec, max_tuples)
     complete = goal is FairnessGoal.EF_COMPLETE
-
-    if goal is FairnessGoal.PROPORTIONAL:
-        totals = [total_value(instance, i) for i in range(n)]
-
-        def accept(w):
-            return all(n * w[i * n + i] >= totals[i] for i in range(n))
-
-    elif goal is FairnessGoal.EF_COMPLETE:
-
-        def accept(w):
-            return all(w[i * n + i] >= w[i * n + j] for i in range(n) for j in range(n))
-
-    elif goal is FairnessGoal.MAX_WELFARE:
-        target = max_welfare_upper(instance)
-
-        def accept(w):
-            return sum(w[i * n + i] for i in range(n)) == target
-
-    elif goal is FairnessGoal.MAXIMIN:
-        collected = list(_weight_sets(instance, spec, False, td, jobs))
-        thresholds = [0] * n
-        for _centers, weights in collected:
-            for w in weights:
-                for i in range(n):
-                    worst = min(w[i * n + j] for j in range(n))
-                    if worst > thresholds[i]:
-                        thresholds[i] = worst
-        for centers, weights in collected:
-            for w in weights:
-                if all(w[i * n + i] >= thresholds[i] for i in range(n)):
-                    return _witness(instance, spec, centers, w, False, td)
-        return None
-
-    else:
-        raise ValueError(f"unknown goal {goal!r}")
-
-    for centers, weights in _weight_sets(instance, spec, complete, td, jobs):
-        for w in weights:
-            if accept(w):
-                return _witness(instance, spec, centers, w, complete, td)
-    return None
+    accept = _goal_test(instance, goal)
+    return _first_hit(
+        instance, spec, _weight_sets(instance, spec, complete, td, jobs), accept, complete, td
+    )
 
 
 def solve_tw_goals(
@@ -613,60 +661,24 @@ def solve_tw_goals(
 
     All goals except ef-complete read the same unrestricted weight sets, so
     one sweep over the annotated instances serves them all; ef-complete gets
-    its own completeness-restricted sweep.  Witnesses re-run the single
-    winning instance.
+    its own completeness-restricted sweep.  Witnesses of the shared sweep
+    re-run the single winning instance.
     """
-    if spec.strong:
-        raise ValueError("no annotated reduction for the strongly compact class")
     goals = list(goals)
     if FairnessGoal.EF_PARETO in goals:
         raise ValueError("ef-po is answered by the oracle, not the DP")
-    _check_tuple_budget(instance, spec, max_tuples)
-    n = instance.n
+    _check_input(instance, spec, max_tuples)
     out: dict[FairnessGoal, Optional[Allocation]] = {}
     open_goals = [g for g in goals if g is not FairnessGoal.EF_COMPLETE]
     if open_goals:
-        collected = list(_weight_sets(instance, spec, False, td, 1))
-        accepts = {}
-        if FairnessGoal.PROPORTIONAL in open_goals:
-            totals = [total_value(instance, i) for i in range(n)]
-            accepts[FairnessGoal.PROPORTIONAL] = lambda w: all(
-                n * w[i * n + i] >= totals[i] for i in range(n)
-            )
-        if FairnessGoal.MAX_WELFARE in open_goals:
-            target = max_welfare_upper(instance)
-            accepts[FairnessGoal.MAX_WELFARE] = lambda w: (
-                sum(w[i * n + i] for i in range(n)) == target
-            )
-        if FairnessGoal.MAXIMIN in open_goals:
-            thresholds = [0] * n
-            for _centers, weights in collected:
-                for w in weights:
-                    for i in range(n):
-                        worst = min(w[i * n + j] for j in range(n))
-                        if worst > thresholds[i]:
-                            thresholds[i] = worst
-            accepts[FairnessGoal.MAXIMIN] = lambda w: all(
-                w[i * n + i] >= thresholds[i] for i in range(n)
-            )
-        for goal, accept in accepts.items():
-            hit = None
-            for centers, weights in collected:
-                for w in weights:
-                    if accept(w):
-                        hit = _witness(instance, spec, centers, w, False, td)
-                        break
-                if hit is not None:
-                    break
-            out[goal] = hit
+        collected = [(c, ws, None) for c, ws, _table in _weight_sets(instance, spec, False, td, 1)]
+        for goal in open_goals:
+            thresholds = _thresholds(collected, instance.n) if goal is FairnessGoal.MAXIMIN else None
+            accept = _goal_test(instance, goal, thresholds)
+            out[goal] = _first_hit(instance, spec, collected, accept, False, td)
     if FairnessGoal.EF_COMPLETE in goals:
-        hit = None
-        for centers, weights in _weight_sets(instance, spec, True, td, 1):
-            for w in weights:
-                if all(w[i * n + i] >= w[i * n + j] for i in range(n) for j in range(n)):
-                    hit = _witness(instance, spec, centers, w, True, td)
-                    break
-            if hit is not None:
-                break
-        out[FairnessGoal.EF_COMPLETE] = hit
+        accept = _goal_test(instance, FairnessGoal.EF_COMPLETE)
+        out[FairnessGoal.EF_COMPLETE] = _first_hit(
+            instance, spec, _weight_sets(instance, spec, True, td, 1), accept, True, td
+        )
     return out

@@ -1,10 +1,14 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
+from compactfd import enum_solver, oracle, tw_dp
+from compactfd.annotate import count_center_tuples
 from compactfd.cli import main
+from compactfd.oracle import mms_oracle
 from compactfd.model import CompactnessSpec, instance_from_dict
 from compactfd.compactness import is_compact_allocation
 from compactfd.model import is_proportional
@@ -76,6 +80,40 @@ def test_mms_methods(tmp_path, capsys):
         assert json.loads(capsys.readouterr().out) == 3
 
 
+@pytest.mark.parametrize("method", ["oracle", "enum", "tw-dp"])
+def test_mms_solve_takes_shares_from_its_own_pass(method, tmp_path, capsys, monkeypatch):
+    data = {
+        "m": 5,
+        "edges": [[0, 1], [1, 2], [2, 3], [3, 4]],
+        "agents": [{"values": [3, 1, 2, 2, 1]}, {"values": [1, 2, 2, 1, 3]}],
+    }
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(data))
+    inst = instance_from_dict(data)
+    spec = CompactnessSpec(1, 1)
+    shares = [mms_oracle(inst, spec, i) for i in range(inst.n)]
+
+    calls = Counter()
+    for module, name in [(tw_dp, "run_dp"), (oracle, "mms_all"), (enum_solver, "mms_enum")]:
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    rc = main(["solve", str(path), "--goal", "mms", "--alpha", "1", "--beta", "1",
+               "--method", method])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["answer"] == "yes"
+    assert out["mms"] == shares
+    expected = {
+        "oracle": {"mms_all": 1},
+        "enum": {"mms_enum": 1},
+        # one sweep per center tuple, plus the witness re-run
+        "tw-dp": {"run_dp": count_center_tuples(inst.m, 1, inst.n) + 1},
+    }
+    assert dict(calls) == expected[method]
+
+
 def test_solve_with_external_td(tmp_path, capsys):
     data = {
         "m": 4,
@@ -115,6 +153,11 @@ def test_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"m": 2, "edges": [[0, 0]], "agents": [{"values": [1, 1]}]}')
     rc = main(["recognize", str(bad), "--alpha", "1", "--beta", "1"])
+    assert rc == 2
+    capsys.readouterr()
+    fractional = tmp_path / "fractional.json"
+    fractional.write_text('{"m": 2.9, "edges": [], "agents": [{"values": [1, 1]}]}')
+    rc = main(["solve", str(fractional), "--goal", "prop", "--alpha", "1", "--beta", "1"])
     assert rc == 2
     capsys.readouterr()
     big = tmp_path / "big.json"

@@ -123,6 +123,25 @@ def test_json_rejects_bad_inputs():
         instance_from_dict(bad)
     with pytest.raises(ValueError):
         instance_from_dict({"m": 1, "edges": []})
+    # non-integral and boolean numbers are rejected, not truncated
+    for key, bad_value in [
+        ("m", 2.9),
+        ("m", True),
+        ("edges", [[0, 1.7]]),
+        ("edges", [[False, 1]]),
+        ("values", [2.5, 1]),
+        ("values", [2, True]),
+    ]:
+        bad = json.loads(json.dumps(base))
+        if key == "values":
+            bad["agents"][0]["values"] = bad_value
+        else:
+            bad[key] = bad_value
+        with pytest.raises(ValueError):
+            instance_from_dict(bad)
+    ok = json.loads(json.dumps(base))
+    ok["m"] = 2.0
+    assert instance_from_dict(ok).m == 2
 
 
 @given(

@@ -110,7 +110,7 @@ def test_root_slice_sound_and_complete():
         n = rng.randint(1, 2)
         inst = random_instance(rng, m, n, vmax=4)
         alpha = rng.choice([1, 2])
-        beta = rng.choice([0, 1])
+        beta = rng.choice([0, 1, 2])
         tuples = list(center_tuples(inst, alpha))
         for centers in rng.sample(tuples, min(3, len(tuples))):
             ann = build_annotated(inst, centers, beta)
@@ -274,6 +274,22 @@ def test_transition_level_hand_trace():
     # the unmerged take dies (its block {0} is a singleton with 0 as root);
     # the merged state and the skip lineage survive
     assert set(s[1] for s in after_f) == {(0,), (5,)}
+
+
+def test_introduce_vertex_offers_no_label_below_hub_distance():
+    from compactfd.tw_dp import DPContext, introduce_vertex_transition, leaf_states
+
+    # path 0 - 1 with the hub next to 0: vertex 1 sits at distance 2 from it
+    inst = Instance(2, [(0, 1)], [[1, 2]])
+    ann = build_annotated(inst, (frozenset([0]),), 1)
+    ctx = DPContext(ann, complete=False)
+    hub = ann.hubs[0]
+    assert ann.beta == 2 and ctx.hub_dist[0][1] == 2
+
+    (leaf_state,) = leaf_states(ctx)
+    out = introduce_vertex_transition({leaf_state: ("leaf",)}, 1, ctx)
+    takes = [s for s in out if s != leaf_state]
+    assert [s[0][0][:2] for s in takes] == [((1, hub), (2, 0))]
 
 
 def test_forget_kills_rootless_components():
