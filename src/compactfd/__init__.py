@@ -57,7 +57,7 @@ from .treewidth import (
     parse_td,
     validate_td,
 )
-from .tw_dp import acyclic_join_check, mms_tw, run_dp, solve_tw
+from .tw_dp import mms_tw, run_dp, solve_tw
 from .generators import (
     ClubSource,
     PartitionSource,

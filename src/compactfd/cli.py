@@ -2,7 +2,10 @@
 
 Machine-readable JSON goes to stdout, human diagnostics to stderr.  Exit
 codes: 0 for a computed result (yes and no alike), 1 when a budget is
-exceeded, 2 for malformed input or unsupported combinations.
+exceeded, 2 for malformed input or unsupported combinations, 3 when an
+internal invariant fails (a DP table above its ceiling, a witness that does
+not re-validate, or a `solve` answer that fails its certification); the
+last three print one line on stderr and nothing on stdout.
 """
 from __future__ import annotations
 
@@ -28,7 +31,13 @@ from .model import (
     Instance,
     bundle_value,
     instance_to_dict,
+    is_complete,
+    is_envy_free,
+    is_proportional,
     load_instance,
+    max_welfare_upper,
+    utilitarian_welfare,
+    validate_allocation,
 )
 from .oracle import BudgetExceededError
 from .path_dp import PathInstance, path_order
@@ -87,21 +96,16 @@ def _solve_with(method: str, instance: Instance, spec: CompactnessSpec,
                 goal: FairnessGoal, args) -> tuple[Optional[Allocation], Optional[list[int]]]:
     """The allocation the method finds, and for the mms goal every agent's
     maximin share as the same solve computed it (None for other goals)."""
-    maximin = goal is FairnessGoal.MAXIMIN
     if method == "oracle":
-        if maximin:
-            return oracle.maximin_oracle(instance, spec)
-        return oracle.solve_oracle(instance, spec, goal), None
+        return oracle.answer_oracle(instance, spec, goal)
     if method == "enum":
-        if maximin:
-            return enum_solver.maximin_enum(instance, spec)
-        return enum_solver.solve_enum(instance, spec, goal), None
+        return enum_solver.answer_enum(instance, spec, goal)
     if method == "matching":
         if (spec.alpha, spec.beta) != (1, 0):
             raise ValueError("the matching solver handles alpha=1, beta=0 only")
         if goal is FairnessGoal.PROPORTIONAL:
             return matching.solve_prop_10(instance), None
-        if maximin:
+        if goal is FairnessGoal.MAXIMIN:
             alloc = matching.solve_mms_10(instance)
             return alloc, [matching.mms_10(instance, i) for i in range(instance.n)]
         if goal is FairnessGoal.EF_COMPLETE and instance.m == instance.n:
@@ -119,10 +123,7 @@ def _solve_with(method: str, instance: Instance, spec: CompactnessSpec,
                 td = parse_td(fh.read())
             if not validate_td(instance.graph(), td):
                 raise ValueError("the supplied decomposition is invalid for this graph")
-        jobs = getattr(args, "jobs", 1)
-        if maximin:
-            return tw_dp.maximin_tw(instance, spec, td=td, jobs=jobs)
-        return tw_dp.solve_tw(instance, spec, goal, td=td, jobs=jobs), None
+        return tw_dp.answer_tw(instance, spec, goal, td=td, jobs=getattr(args, "jobs", 1))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -156,10 +157,37 @@ def cmd_solve(args) -> int:
     if alloc is None:
         _emit({"answer": "no"})
         return 0
-    if not is_compact_allocation(instance, alloc, spec):
-        raise RuntimeError("solver returned a non-compact allocation")
+    _certify(instance, spec, goal, alloc, mms)
     _emit(_alloc_payload(instance, alloc, mms))
     return 0
+
+
+def _certify(instance: Instance, spec: CompactnessSpec, goal: FairnessGoal,
+             alloc: Allocation, mms: Optional[list[int]]) -> None:
+    """Raise RuntimeError unless the allocation is well formed, compact and
+    meets the goal.  The checks are the model's own predicates, independent
+    of the solvers; mms is checked against the shares that will be printed,
+    ef-po only for envy-freeness (Pareto-optimality is an exhaustive check)."""
+    try:
+        validate_allocation(instance, alloc)
+    except ValueError as exc:
+        raise RuntimeError(f"solver returned a malformed allocation: {exc}") from None
+    if not is_compact_allocation(instance, alloc, spec):
+        raise RuntimeError("solver returned a non-compact allocation")
+    if goal is FairnessGoal.PROPORTIONAL:
+        met = is_proportional(instance, alloc)
+    elif goal is FairnessGoal.EF_COMPLETE:
+        met = is_envy_free(instance, alloc) and is_complete(instance, alloc)
+    elif goal is FairnessGoal.EF_PARETO:
+        met = is_envy_free(instance, alloc)
+    elif goal is FairnessGoal.MAX_WELFARE:
+        met = utilitarian_welfare(instance, alloc) == max_welfare_upper(instance)
+    else:
+        met = all(
+            bundle_value(instance, i, alloc.bundles[i]) >= mms[i] for i in range(instance.n)
+        )
+    if not met:
+        raise RuntimeError(f"solver returned an allocation that misses the {goal.value} goal")
 
 
 def _mms_with(method: str, instance: Instance, spec: CompactnessSpec, agent: int, args) -> int:
@@ -175,8 +203,6 @@ def cmd_mms(args) -> int:
     spec = _spec_from(args)
     if args.method == "matching" and (spec.alpha, spec.beta) != (1, 0):
         raise ValueError("the matching method computes mms for alpha=1, beta=0 only")
-    if args.method == "tw-dp" and spec.strong:
-        raise ValueError("tw-dp does not handle the strongly compact class")
     value = _mms_with(args.method, instance, spec, args.agent, args)
     _emit(value)
     return 0
@@ -302,6 +328,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -5,25 +5,19 @@ cover centers, so enumerating center tuples and then subsets of their ball
 unions reaches every compact bundle.  Candidate bundles are re-checked with
 the recognizer (a subset of a ball union need not be compact in its own
 induced subgraph) and deduplicated, then combined disjointly across agents.
+The fairness goals are answered by `goals` from the value matrices of the
+enumerated allocations.
 """
 from __future__ import annotations
 
 import itertools
+from functools import partial
 from typing import Iterator, Optional
 
+from . import goals
 from .compactness import BundleCompactnessCache, ball
-from .model import (
-    Allocation,
-    CompactnessSpec,
-    FairnessGoal,
-    Instance,
-    bundle_value,
-    is_complete,
-    is_envy_free,
-    max_welfare_upper,
-    total_value,
-)
-from .oracle import BudgetExceededError, distinct_utility_vectors, _dominated
+from .model import Allocation, CompactnessSpec, FairnessGoal, Instance
+from .oracle import BudgetExceededError
 
 DEFAULT_WORK_BUDGET = 5_000_000
 
@@ -38,23 +32,22 @@ def compact_bundles(
     """
     graph = instance.graph()
     balls = {v: ball(graph, v, spec.beta) for v in graph.vertices}
-    work = 0
-    for size in range(0, spec.alpha + 1):
-        for centers in itertools.combinations(graph.vertices, size):
-            union = frozenset().union(*(balls[c] for c in centers)) if centers else frozenset()
-            work += 1 << len(union)
+    unions = [
+        sorted(frozenset().union(*(balls[c] for c in centers)))
+        for size in range(0, spec.alpha + 1)
+        for centers in itertools.combinations(graph.vertices, size)
+    ]
+    work = sum(1 << len(union) for union in unions)
     if work > budget:
         raise BudgetExceededError(f"candidate scan needs {work} subset checks, budget {budget}")
     cache = BundleCompactnessCache(instance, spec)
     seen: set[frozenset[int]] = set()
-    for size in range(0, spec.alpha + 1):
-        for centers in itertools.combinations(graph.vertices, size):
-            union = sorted(frozenset().union(*(balls[c] for c in centers))) if centers else []
-            for k in range(len(union) + 1):
-                for sub in itertools.combinations(union, k):
-                    bundle = frozenset(sub)
-                    if bundle not in seen and cache.check(bundle):
-                        seen.add(bundle)
+    for union in unions:
+        for k in range(len(union) + 1):
+            for sub in itertools.combinations(union, k):
+                bundle = frozenset(sub)
+                if bundle not in seen and cache.check(bundle):
+                    seen.add(bundle)
     return sorted(seen, key=lambda b: (len(b), tuple(sorted(b))))
 
 
@@ -85,83 +78,52 @@ def enumerate_compact_allocations(
     yield from rec(0, 0, list(range(len(bundles))))
 
 
+def _matrices(instance: Instance, spec: CompactnessSpec, budget: int, complete: bool):
+    """Candidates for the goal layer: each enumerated compact allocation (only
+    complete ones if `complete`) with its value matrix, keyed by itself.
+    Each bundle's value column is computed once per pass."""
+    rows, m = instance.values, instance.m
+    columns: dict[frozenset[int], tuple[int, ...]] = {}
+    for alloc in enumerate_compact_allocations(instance, spec, budget):
+        if complete and sum(map(len, alloc.bundles)) != m:
+            continue
+        per_bundle = []
+        for bundle in alloc.bundles:
+            col = columns.get(bundle)
+            if col is None:
+                col = columns[bundle] = tuple(sum(row[z] for z in bundle) for row in rows)
+            per_bundle.append(col)
+        # zip(*columns) gives the rows of w: one agent's values across the bundles
+        yield sum(zip(*per_bundle), ()), alloc
+
+
+def answer_enum(
+    instance: Instance,
+    spec: CompactnessSpec,
+    goal: FairnessGoal,
+    budget: int = DEFAULT_WORK_BUDGET,
+) -> tuple[Optional[Allocation], Optional[list[int]]]:
+    """The first enumerated compact allocation meeting the goal (None if there
+    is none), and for mms every agent's maximin share from the same pass (None
+    for other goals).  ef-po uses the exhaustive utility-vector dominance
+    check, so it is only sensible at oracle scale."""
+    return goals.solve(
+        instance, goal, partial(_matrices, instance, spec, budget), lambda alloc, _w: alloc
+    )
+
+
 def solve_enum(
     instance: Instance,
     spec: CompactnessSpec,
     goal: FairnessGoal,
     budget: int = DEFAULT_WORK_BUDGET,
 ) -> Optional[Allocation]:
-    """First enumerated compact allocation satisfying the goal, or None.
-
-    Maximin is `maximin_enum`.  ef-po uses the exhaustive utility-vector
-    dominance check, so it is only sensible at oracle scale.
-    """
-    n = instance.n
-
-    if goal is FairnessGoal.PROPORTIONAL:
-        totals = [total_value(instance, i) for i in range(n)]
-        for alloc in enumerate_compact_allocations(instance, spec, budget):
-            if all(
-                n * bundle_value(instance, i, alloc.bundles[i]) >= totals[i] for i in range(n)
-            ):
-                return alloc
-        return None
-
-    if goal is FairnessGoal.EF_COMPLETE:
-        for alloc in enumerate_compact_allocations(instance, spec, budget):
-            if is_complete(instance, alloc) and is_envy_free(instance, alloc):
-                return alloc
-        return None
-
-    if goal is FairnessGoal.EF_PARETO:
-        vectors = distinct_utility_vectors(instance)
-        for alloc in enumerate_compact_allocations(instance, spec, budget):
-            if not is_envy_free(instance, alloc):
-                continue
-            vec = tuple(bundle_value(instance, i, alloc.bundles[i]) for i in range(n))
-            if not _dominated(vec, vectors):
-                return alloc
-        return None
-
-    if goal is FairnessGoal.MAX_WELFARE:
-        target = max_welfare_upper(instance)
-        for alloc in enumerate_compact_allocations(instance, spec, budget):
-            if sum(bundle_value(instance, i, alloc.bundles[i]) for i in range(n)) == target:
-                return alloc
-        return None
-
-    if goal is FairnessGoal.MAXIMIN:
-        return maximin_enum(instance, spec, budget)[0]
-
-    raise ValueError(f"unknown goal {goal!r}")
-
-
-def maximin_enum(
-    instance: Instance, spec: CompactnessSpec, budget: int = DEFAULT_WORK_BUDGET
-) -> tuple[Optional[Allocation], list[int]]:
-    """Every agent's maximin share, and the first enumerated compact
-    allocation giving each agent at least hers, or None.
-
-    Two passes: the first computes the shares over the enumerated class, the
-    second filters by them.
-    """
-    thresholds = mms_enum(instance, spec, budget)
-    n = instance.n
-    for alloc in enumerate_compact_allocations(instance, spec, budget):
-        if all(bundle_value(instance, i, alloc.bundles[i]) >= thresholds[i] for i in range(n)):
-            return alloc, thresholds
-    return None, thresholds
+    """First enumerated compact allocation satisfying the goal, or None."""
+    return answer_enum(instance, spec, goal, budget)[0]
 
 
 def mms_enum(
     instance: Instance, spec: CompactnessSpec, budget: int = DEFAULT_WORK_BUDGET
 ) -> list[int]:
     """Maximin share per agent, computed from a full enumeration pass."""
-    n = instance.n
-    best = [0] * n
-    for alloc in enumerate_compact_allocations(instance, spec, budget):
-        for i in range(n):
-            worst = min(bundle_value(instance, i, b) for b in alloc.bundles)
-            if worst > best[i]:
-                best[i] = worst
-    return best
+    return goals.maximin(instance, _matrices(instance, spec, budget, False))[1]

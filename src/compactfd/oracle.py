@@ -17,6 +17,7 @@ from .model import (
     CompactnessSpec,
     FairnessGoal,
     Instance,
+    bundle_value,
     max_welfare_upper,
     total_value,
 )
@@ -70,16 +71,11 @@ def enumerate_allocations(
 ) -> Iterator[Allocation]:
     """Yield each of the (n+1)^m allocations exactly once, deterministically."""
     _check_budget(instance, budget)
-    n = instance.n
     for digits in _assignments(instance):
-        bundles = [[] for _ in range(n)]
-        for z, a in enumerate(digits):
-            if a < n:
-                bundles[a].append(z)
-        yield Allocation(tuple(frozenset(b) for b in bundles))
+        yield _allocation_from_digits(instance, digits)
 
 
-def _scan(instance: Instance, spec: CompactnessSpec):
+def _scan(instance: Instance):
     """Yield (digits, per-agent bundle masks, per-agent own values) for every
     assignment.  Shared inner loop for the exhaustive passes."""
     n, m = instance.n, instance.m
@@ -119,17 +115,7 @@ def distinct_utility_vectors(
 ) -> set[tuple[int, ...]]:
     """Set of (v_1(pi(1)), ..., v_n(pi(n))) over all allocations."""
     _check_budget(instance, budget)
-    n, m = instance.n, instance.m
-    rows = instance.values
-    out: set[tuple[int, ...]] = set()
-    for digits in _assignments(instance):
-        vals = [0] * n
-        for z in range(m):
-            a = digits[z]
-            if a < n:
-                vals[a] += rows[a][z]
-        out.add(tuple(vals))
-    return out
+    return {tuple(vals) for _digits, _masks, vals in _scan(instance)}
 
 
 def _dominated(vec, vectors) -> bool:
@@ -146,8 +132,6 @@ def is_pareto_optimal(
 ) -> bool:
     """Exhaustive check: no allocation weakly improves everyone and strictly
     improves someone.  Quantifies over all allocations, not just compact ones."""
-    from .model import bundle_value
-
     vec = tuple(bundle_value(instance, i, allocation.bundles[i]) for i in range(instance.n))
     return not _dominated(vec, distinct_utility_vectors(instance, budget))
 
@@ -161,7 +145,7 @@ def mms_all(
     cache = BundleCompactnessCache(instance, spec)
     best = [0] * n
     rows = instance.values
-    for digits, masks, _vals in _scan(instance, spec):
+    for digits, masks, _vals in _scan(instance):
         if not all(cache.check_mask(mk) for mk in masks):
             continue
         for i in range(n):
@@ -198,7 +182,7 @@ def solve_oracle(
     totals = [total_value(instance, i) for i in range(n)]
 
     if goal is FairnessGoal.PROPORTIONAL:
-        for digits, masks, vals in _scan(instance, spec):
+        for digits, masks, vals in _scan(instance):
             if all(n * vals[i] >= totals[i] for i in range(n)) and all(
                 cache.check_mask(mk) for mk in masks
             ):
@@ -207,14 +191,14 @@ def solve_oracle(
 
     if goal is FairnessGoal.MAX_WELFARE:
         target = max_welfare_upper(instance)
-        for digits, masks, vals in _scan(instance, spec):
+        for digits, masks, vals in _scan(instance):
             if sum(vals) == target and all(cache.check_mask(mk) for mk in masks):
                 return _allocation_from_digits(instance, digits)
         return None
 
     if goal is FairnessGoal.EF_COMPLETE:
         full = (1 << instance.m) - 1
-        for digits, masks, vals in _scan(instance, spec):
+        for digits, masks, vals in _scan(instance):
             got = 0
             for mk in masks:
                 got |= mk
@@ -229,7 +213,7 @@ def solve_oracle(
 
     if goal is FairnessGoal.EF_PARETO:
         vectors = distinct_utility_vectors(instance, budget)
-        for digits, masks, vals in _scan(instance, spec):
+        for digits, masks, vals in _scan(instance):
             mat = _value_matrix(instance, digits)
             if not all(mat[i][i] >= mat[i][j] for i in range(n) for j in range(n)):
                 continue
@@ -240,20 +224,26 @@ def solve_oracle(
         return None
 
     if goal is FairnessGoal.MAXIMIN:
-        return maximin_oracle(instance, spec, budget)[0]
+        return answer_oracle(instance, spec, goal, budget)[0]
 
     raise ValueError(f"unknown goal {goal!r}")
 
 
-def maximin_oracle(
-    instance: Instance, spec: CompactnessSpec, budget: Optional[OracleBudget] = None
-) -> tuple[Optional[Allocation], list[int]]:
-    """Every agent's maximin share, and the first allocation (in enumeration
-    order) that is spec-compact and gives each agent at least hers, or None."""
+def answer_oracle(
+    instance: Instance,
+    spec: CompactnessSpec,
+    goal: FairnessGoal,
+    budget: Optional[OracleBudget] = None,
+) -> tuple[Optional[Allocation], Optional[list[int]]]:
+    """The allocation `solve_oracle` returns, and for mms every agent's
+    maximin share (None for other goals): one share pass, then the first
+    allocation, in enumeration order, that gives each agent at least hers."""
+    if goal is not FairnessGoal.MAXIMIN:
+        return solve_oracle(instance, spec, goal, budget), None
     thresholds = mms_all(instance, spec, budget)
     n = instance.n
     cache = BundleCompactnessCache(instance, spec)
-    for digits, masks, vals in _scan(instance, spec):
+    for digits, masks, vals in _scan(instance):
         if all(vals[i] >= thresholds[i] for i in range(n)) and all(
             cache.check_mask(mk) for mk in masks
         ):

@@ -276,12 +276,10 @@ def nicefy(td: TreeDecomposition, graph: Graph, anchors: Iterable[int] = ()) -> 
         adj[a].append(b)
         adj[b].append(a)
     children: dict[int, list[int]] = {i: [] for i in range(k)}
-    order = []
     seen = {0}
     stack = [0]
     while stack:
         cur = stack.pop()
-        order.append(cur)
         for nb in sorted(adj[cur]):
             if nb not in seen:
                 seen.add(nb)
@@ -316,28 +314,27 @@ def nicefy(td: TreeDecomposition, graph: Graph, anchors: Iterable[int] = ()) -> 
             top = introduce(top, v)
         return top
 
-    def build(t: int) -> int:
-        kids = children[t]
+    # post-order over the rooted decomposition, bridging each child's top to
+    # its parent's bag as soon as the child is done; an explicit stack keeps
+    # deep decompositions off the interpreter's call stack
+    frames = [(0, sorted(children[0]), [])]  # (node, its children, their tops)
+    top = None  # top of the node finished last
+    while frames:
+        t, kids, tops = frames[-1]
+        if top is not None:
+            tops.append(bridge(top, bags[t]))
+            top = None
+        if len(tops) < len(kids):
+            c = kids[len(tops)]
+            frames.append((c, sorted(children[c]), []))
+            continue
+        frames.pop()
         if not kids:
-            top = add(NiceNode(NodeKind.LEAF, anchor_set))
-            return bridge(top, bags[t])
-        tops = []
-        for c in sorted(kids):
-            sub = build(c)
-            tops.append(bridge(sub, bags[t]))
-        acc = tops[0]
-        for other in tops[1:]:
-            acc = add(NiceNode(NodeKind.JOIN, bags[t], (acc, other)))
-        return acc
-
-    import sys
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 4 * k + 100))
-    try:
-        top = build(0)
-    finally:
-        sys.setrecursionlimit(old_limit)
+            top = bridge(add(NiceNode(NodeKind.LEAF, anchor_set)), bags[t])
+        else:
+            top = tops[0]
+            for other in tops[1:]:
+                top = add(NiceNode(NodeKind.JOIN, bags[t], (top, other)))
     top = bridge(top, anchor_set)
     # edges between two anchors have no introduce-vertex site; every bag
     # contains both endpoints, so they are introduced just below the root

@@ -8,18 +8,15 @@ witness forest; plus the full n x n matrix w of values agents assign to the
 bundles built so far.  A state is stored iff some allocation of the swept
 subgraph realizes it with labels no smaller than hub distances (below); the
 root slice then lists exactly the achievable value
-matrices of annotated allocations, and the fairness drivers read their
-answers off that slice instead of looping over candidate matrices.
+matrices of annotated allocations.  The drivers hand those matrices, tuple
+by tuple, to the goal layer (`goals`), which answers every fairness goal
+from them.
 
 A label is a depth in the witness tree, which is at least the distance
 inside the bundle and so at least the graph distance from the hub.  Vertex z
 is therefore introduced for agent i only with labels
 max(1, d_G(hub_i, z)) .. beta: a smaller label could never reach the root,
 so leaving it out shrinks the tables and leaves the root slice unchanged.
-
-The maximin driver returns every agent's share together with the
-allocation, so one pass over the annotated instances answers
-`solve --goal mms`.
 
 State keys are nested tuples: per agent (S, f, blocks, roots) with S sorted,
 f aligned to S, blocks sorted by first member, roots sorted; w is a flat
@@ -35,6 +32,7 @@ from .annotate import (
     AnnotatedInstance,
     build_annotated,
     build_annotated_instances,
+    center_tuples,
     count_center_tuples,
     lift_allocation,
 )
@@ -46,9 +44,9 @@ from .model import (
     Instance,
     instance_from_dict,
     instance_to_dict,
-    max_welfare_upper,
     total_value,
 )
+from . import goals as goal_layer
 from .oracle import BudgetExceededError
 from .treewidth import (
     NiceTreeDecomposition,
@@ -120,20 +118,6 @@ def acyclic_join(
         if sum(1 for r in roots if r in blk) != 1:
             return None
     return joined, roots
-
-
-def acyclic_join_check(s, part1, part2, part) -> bool:
-    """Verify that `part` is the acyclic join of `part1` and `part2`.
-
-    Each argument after `s` is a (blocks, roots) pair of a rooted partition
-    of `s`.
-    """
-    s = tuple(sorted(s))
-    blocks1, roots1 = _sort_blocks(part1[0]), tuple(sorted(part1[1]))
-    blocks2, roots2 = _sort_blocks(part2[0]), tuple(sorted(part2[1]))
-    blocks, roots = _sort_blocks(part[0]), tuple(sorted(part[1]))
-    got = acyclic_join(s, blocks1, roots1, blocks2, roots2)
-    return got is not None and got == (blocks, roots)
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +262,12 @@ def join_transition(
     ctx: DPContext,
 ) -> dict[StateKey, tuple]:
     n = ctx.n
+    # states grouped by each agent's (S, f), the part both sides must share
     buckets_l: dict[tuple, list[StateKey]] = {}
-    for state in left:
-        key = tuple((ag[0], ag[1]) for ag in state[0])
-        buckets_l.setdefault(key, []).append(state)
     buckets_r: dict[tuple, list[StateKey]] = {}
-    for state in right:
-        key = tuple((ag[0], ag[1]) for ag in state[0])
-        buckets_r.setdefault(key, []).append(state)
+    for buckets, table in ((buckets_l, left), (buckets_r, right)):
+        for state in table:
+            buckets.setdefault(tuple((ag[0], ag[1]) for ag in state[0]), []).append(state)
     # value of each agent's shared bag vertices, subtracted from the summed w
     out: dict[StateKey, tuple] = {}
     for key in (k for k in buckets_l if k in buckets_r):
@@ -473,42 +455,6 @@ def _tau_worker(payload) -> list[tuple[int, ...]]:
     return sorted(table.root_weights())
 
 
-def _weight_sets(
-    instance: Instance,
-    spec: CompactnessSpec,
-    complete: bool,
-    base_td: Optional[TreeDecomposition],
-    jobs: int,
-):
-    """Yield (centers, sorted root weights, table) per annotated instance.
-
-    `table` is the swept RootTable, or None when there is none at hand: a
-    tuple skipped for pruning under a complete goal, or a sweep run in a
-    worker process.
-    """
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        from .annotate import center_tuples
-
-        tuples = list(center_tuples(instance, spec.alpha))
-        data = instance_to_dict(instance)
-        payloads = [
-            (data, spec.beta, [sorted(c) for c in centers], complete)
-            for centers in tuples
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for centers, weights in zip(tuples, pool.map(_tau_worker, payloads)):
-                yield centers, weights, None
-        return
-    for ann in build_annotated_instances(instance, spec):
-        if complete and not ann.prunes_nothing:
-            yield ann.centers, [], None
-            continue
-        table = run_dp(ann, _nice_for(ann, base_td), complete=complete)
-        yield ann.centers, sorted(table.root_weights()), table
-
-
 def _witness(
     instance: Instance,
     spec: CompactnessSpec,
@@ -522,53 +468,53 @@ def _witness(
     return lift_allocation(ann, table.extract(table.root_state_for(w)))
 
 
-def _first_hit(
-    instance: Instance,
-    spec: CompactnessSpec,
-    weight_sets,
-    accept,
-    complete: bool,
-    base_td: Optional[TreeDecomposition],
-) -> Optional[Allocation]:
-    """Witness for the first root matrix that `accept` admits, read off the
-    swept table when the stream carries one, else by re-running its tuple."""
-    for centers, weights, table in weight_sets:
-        for w in weights:
-            if accept(w):
-                if table is None:
-                    return _witness(instance, spec, centers, w, complete, base_td)
-                return lift_allocation(table.ann, table.extract(table.root_state_for(w)))
-    return None
+class _TupleSource:
+    """Candidates for the goal layer: the root matrices of the annotated
+    instances, tuple by tuple and sorted within a tuple, keyed by
+    (centers, complete).  Under a complete goal, tuples whose pruning drops
+    a vertex are skipped (a dropped vertex can never be allocated).
 
+    The witness for the tuple being read comes off its live table; any other
+    key, and any key of a pooled sweep (jobs > 1), re-runs its tuple's DP
+    (`_witness`).  A tuple's tables are dropped once its matrices are read,
+    so a full pass (mms) holds one tuple's tables at a time.
+    """
 
-def _thresholds(weight_sets, n: int) -> list[int]:
-    """Every agent's maximin share: her best worst-bundle value over all
-    reachable root matrices."""
-    best = [0] * n
-    for _centers, weights, _table in weight_sets:
-        for w in weights:
-            for i in range(n):
-                worst = min(w[i * n : (i + 1) * n])
-                if worst > best[i]:
-                    best[i] = worst
-    return best
+    def __init__(self, instance, spec, td, jobs):
+        self.instance, self.spec, self.td, self.jobs = instance, spec, td, jobs
+        self._live = None  # (key, table) of the tuple being read
 
+    def candidates(self, complete: bool):
+        if self.jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-def _goal_test(instance: Instance, goal: FairnessGoal, thresholds: Optional[list[int]] = None):
-    """Predicate on flat root matrices for a goal the root slice decides;
-    maximin needs the agents' `thresholds`."""
-    n = instance.n
-    if goal is FairnessGoal.PROPORTIONAL:
-        totals = [total_value(instance, i) for i in range(n)]
-        return lambda w: all(n * w[i * n + i] >= totals[i] for i in range(n))
-    if goal is FairnessGoal.EF_COMPLETE:
-        return lambda w: all(w[i * n + i] >= w[i * n + j] for i in range(n) for j in range(n))
-    if goal is FairnessGoal.MAX_WELFARE:
-        target = max_welfare_upper(instance)
-        return lambda w: sum(w[i * n + i] for i in range(n)) == target
-    if goal is FairnessGoal.MAXIMIN:
-        return lambda w: all(w[i * n + i] >= thresholds[i] for i in range(n))
-    raise ValueError(f"unknown goal {goal!r}")
+            tuples = list(center_tuples(self.instance, self.spec.alpha))
+            data = instance_to_dict(self.instance)
+            payloads = [
+                (data, self.spec.beta, [sorted(c) for c in centers], complete)
+                for centers in tuples
+            ]
+            with ProcessPoolExecutor(max_workers=self.jobs) as pool:
+                for centers, weights in zip(tuples, pool.map(_tau_worker, payloads)):
+                    for w in weights:
+                        yield w, (centers, complete)
+            return
+        for ann in build_annotated_instances(self.instance, self.spec):
+            if complete and not ann.prunes_nothing:
+                continue
+            table = run_dp(ann, _nice_for(ann, self.td), complete=complete)
+            key = (ann.centers, complete)
+            self._live = (key, table)
+            for w in sorted(table.root_weights()):
+                yield w, key
+            self._live = None
+
+    def witness(self, key, w: tuple[int, ...]) -> Allocation:
+        if self._live is not None and self._live[0] == key:
+            table = self._live[1]
+            return lift_allocation(table.ann, table.extract(table.root_state_for(w)))
+        centers, complete = key
+        return _witness(self.instance, self.spec, centers, w, complete, self.td)
 
 
 def mms_tw_all(
@@ -579,7 +525,8 @@ def mms_tw_all(
 ) -> list[int]:
     """Maximin share of every agent, from one pass over the annotated instances."""
     _check_input(instance, spec, max_tuples)
-    return _thresholds(_weight_sets(instance, spec, False, td, 1), instance.n)
+    source = _TupleSource(instance, spec, td, 1)
+    return goal_layer.maximin(instance, source.candidates(False))[1]
 
 
 def mms_tw(
@@ -596,25 +543,29 @@ def mms_tw(
     return mms_tw_all(instance, spec, td, max_tuples)[agent]
 
 
-def maximin_tw(
+def answer_tw(
     instance: Instance,
     spec: CompactnessSpec,
+    goal: FairnessGoal,
     td: Optional[TreeDecomposition] = None,
     max_tuples: Optional[int] = None,
     jobs: int = 1,
-) -> tuple[Optional[Allocation], list[int]]:
-    """Every agent's maximin share, and an allocation giving each agent at
-    least hers (None if there is none), from one pass over the annotated
-    instances.
+) -> tuple[Optional[Allocation], Optional[list[int]]]:
+    """Annotated-reduction driver: the allocation the goal layer finds in the
+    root slices of the per-tuple DPs (None if there is none), and for mms
+    every agent's maximin share from the same pass (None for other goals).
 
-    Only the root weights of each tuple are kept, not its tables, so the
-    witness re-runs the DP of the tuple it comes from.
+    ef-po is answered by the exhaustive oracle; Pareto-optimality is not a
+    function of the DP state, so this route is desk scale only.
     """
+    if goal is FairnessGoal.EF_PARETO:
+        _check_input(instance, spec, None)
+        from .oracle import solve_oracle
+
+        return solve_oracle(instance, spec, goal), None
     _check_input(instance, spec, max_tuples)
-    collected = [(c, ws, None) for c, ws, _table in _weight_sets(instance, spec, False, td, jobs)]
-    thresholds = _thresholds(collected, instance.n)
-    accept = _goal_test(instance, FairnessGoal.MAXIMIN, thresholds)
-    return _first_hit(instance, spec, collected, accept, False, td), thresholds
+    source = _TupleSource(instance, spec, td, jobs)
+    return goal_layer.solve(instance, goal, source.candidates, source.witness)
 
 
 def solve_tw(
@@ -625,29 +576,8 @@ def solve_tw(
     max_tuples: Optional[int] = None,
     jobs: int = 1,
 ) -> Optional[Allocation]:
-    """Annotated-reduction driver: run the DP per center tuple and query the
-    root slices for the goal.
-
-    ef-po is answered by the exhaustive oracle; Pareto-optimality is not a
-    function of the DP state, so this route is desk scale only.  With
-    `complete` goals, tuples whose pruning drops any vertex are answered
-    "no" directly (a dropped vertex can never be allocated).  prop, welfare
-    and ef-complete stop at the first tuple whose root slice meets the goal
-    and read the witness off that tuple's tables; mms is `maximin_tw`.
-    """
-    if goal is FairnessGoal.EF_PARETO:
-        _check_input(instance, spec, None)
-        from .oracle import solve_oracle
-
-        return solve_oracle(instance, spec, goal)
-    if goal is FairnessGoal.MAXIMIN:
-        return maximin_tw(instance, spec, td, max_tuples, jobs)[0]
-    _check_input(instance, spec, max_tuples)
-    complete = goal is FairnessGoal.EF_COMPLETE
-    accept = _goal_test(instance, goal)
-    return _first_hit(
-        instance, spec, _weight_sets(instance, spec, complete, td, jobs), accept, complete, td
-    )
+    """The allocation `answer_tw` finds for the goal, or None."""
+    return answer_tw(instance, spec, goal, td, max_tuples, jobs)[0]
 
 
 def solve_tw_goals(
@@ -659,7 +589,7 @@ def solve_tw_goals(
 ) -> dict[FairnessGoal, Optional[Allocation]]:
     """Answer several goals from shared DP passes.
 
-    All goals except ef-complete read the same unrestricted weight sets, so
+    All goals except ef-complete read the same unrestricted candidates, so
     one sweep over the annotated instances serves them all; ef-complete gets
     its own completeness-restricted sweep.  Witnesses of the shared sweep
     re-run the single winning instance.
@@ -668,17 +598,13 @@ def solve_tw_goals(
     if FairnessGoal.EF_PARETO in goals:
         raise ValueError("ef-po is answered by the oracle, not the DP")
     _check_input(instance, spec, max_tuples)
-    out: dict[FairnessGoal, Optional[Allocation]] = {}
-    open_goals = [g for g in goals if g is not FairnessGoal.EF_COMPLETE]
-    if open_goals:
-        collected = [(c, ws, None) for c, ws, _table in _weight_sets(instance, spec, False, td, 1)]
-        for goal in open_goals:
-            thresholds = _thresholds(collected, instance.n) if goal is FairnessGoal.MAXIMIN else None
-            accept = _goal_test(instance, goal, thresholds)
-            out[goal] = _first_hit(instance, spec, collected, accept, False, td)
-    if FairnessGoal.EF_COMPLETE in goals:
-        accept = _goal_test(instance, FairnessGoal.EF_COMPLETE)
-        out[FairnessGoal.EF_COMPLETE] = _first_hit(
-            instance, spec, _weight_sets(instance, spec, True, td, 1), accept, True, td
-        )
-    return out
+    source = _TupleSource(instance, spec, td, 1)
+    open_goals = set(goals) - {FairnessGoal.EF_COMPLETE}
+    shared = list(source.candidates(False)) if open_goals else []
+
+    def candidates(complete):
+        return source.candidates(True) if complete else shared
+
+    return {
+        goal: goal_layer.solve(instance, goal, candidates, source.witness)[0] for goal in goals
+    }

@@ -9,7 +9,7 @@ from compactfd import enum_solver, oracle, tw_dp
 from compactfd.annotate import count_center_tuples
 from compactfd.cli import main
 from compactfd.oracle import mms_oracle
-from compactfd.model import CompactnessSpec, instance_from_dict
+from compactfd.model import Allocation, CompactnessSpec, instance_from_dict
 from compactfd.compactness import is_compact_allocation
 from compactfd.model import is_proportional
 
@@ -94,7 +94,13 @@ def test_mms_solve_takes_shares_from_its_own_pass(method, tmp_path, capsys, monk
     shares = [mms_oracle(inst, spec, i) for i in range(inst.n)]
 
     calls = Counter()
-    for module, name in [(tw_dp, "run_dp"), (oracle, "mms_all"), (enum_solver, "mms_enum")]:
+    passes = [
+        (tw_dp, "run_dp"),
+        (oracle, "mms_all"),
+        (enum_solver, "mms_enum"),
+        (enum_solver, "enumerate_compact_allocations"),
+    ]
+    for module, name in passes:
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _fn(*args, **kwargs)
@@ -107,7 +113,8 @@ def test_mms_solve_takes_shares_from_its_own_pass(method, tmp_path, capsys, monk
     assert out["mms"] == shares
     expected = {
         "oracle": {"mms_all": 1},
-        "enum": {"mms_enum": 1},
+        # the enum goal layer reads one enumeration pass
+        "enum": {"enumerate_compact_allocations": 1},
         # one sweep per center tuple, plus the witness re-run
         "tw-dp": {"run_dp": count_center_tuples(inst.m, 1, inst.n) + 1},
     }
@@ -169,6 +176,53 @@ def test_exit_codes(tmp_path, capsys):
                "--method", "oracle"])
     assert rc == 1  # budget exceeded
     capsys.readouterr()
+
+
+MISSES = {
+    # goal: (a compact allocation that misses it, the shares the solver reports)
+    "prop": ([[], []], None),
+    "ef-complete": ([[], []], None),
+    "welfare": ([[], []], None),
+    "mms": ([[], []], [1, 1]),
+    "ef-po": ([[0], []], None),
+}
+
+
+@pytest.mark.parametrize("goal", sorted(MISSES))
+def test_solve_prints_no_allocation_that_misses_its_goal(goal, tmp_path, capsys, monkeypatch):
+    data = {"m": 2, "edges": [[0, 1]], "agents": [{"values": [1, 1]}, {"values": [1, 1]}]}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(data))
+    bundles, shares = MISSES[goal]
+    monkeypatch.setattr(
+        enum_solver, "answer_enum", lambda *args, **kwargs: (Allocation.of(bundles), shares)
+    )
+    rc = main(["solve", str(path), "--goal", goal, "--alpha", "1", "--beta", "1",
+               "--method", "enum"])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert out == ""
+    assert err.startswith("internal error:") and err.count("\n") == 1
+    assert goal in err
+
+
+def _raise_invariant(*args, **kwargs):
+    raise RuntimeError("an internal invariant failed")
+
+
+@pytest.mark.parametrize("owner, name", [(tw_dp, "_state_guard"), (tw_dp.RootTable, "extract")])
+def test_internal_invariant_failure_exits_3(owner, name, tmp_path, capsys, monkeypatch):
+    data = {"m": 3, "edges": [[0, 1], [1, 2]],
+            "agents": [{"values": [2, 1, 1]}, {"values": [1, 1, 2]}]}
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(data))
+    monkeypatch.setattr(owner, name, _raise_invariant)
+    rc = main(["solve", str(path), "--goal", "prop", "--alpha", "1", "--beta", "1",
+               "--method", "tw-dp"])
+    out, err = capsys.readouterr()
+    assert rc == 3
+    assert out == ""
+    assert err == "internal error: an internal invariant failed\n"
 
 
 def test_module_entry_point():

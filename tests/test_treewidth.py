@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -131,3 +132,22 @@ def test_nicefy_branching_decomposition():
     assert not nice_violations(nice, g)
     kinds = [nd.kind for nd in nice.nodes]
     assert kinds.count(NodeKind.JOIN) == 2
+
+
+def test_nicefy_deep_chain_leaves_recursion_limit_alone(monkeypatch):
+    limit = sys.getrecursionlimit()
+    changes = []
+    monkeypatch.setattr(sys, "setrecursionlimit", changes.append)
+    k = limit + 100  # a chain of bags deeper than the recursion limit
+    graph = Graph(range(k + 1), [(i, i + 1) for i in range(k)])
+    td = TreeDecomposition(
+        tuple(frozenset({i, i + 1}) for i in range(k)),
+        tuple((i, i + 1) for i in range(k - 1)),
+    )
+    nice = nicefy(td, graph, anchors=[0])
+    assert sys.getrecursionlimit() == limit and not changes
+    assert nice.nodes[nice.root].bag == frozenset({0})
+    kinds = [nd.kind for nd in nice.nodes]
+    assert kinds.count(NodeKind.LEAF) == 1
+    assert kinds.count(NodeKind.FORGET) == k
+    assert kinds.count(NodeKind.INTRODUCE_EDGE) == k

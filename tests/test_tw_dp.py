@@ -6,7 +6,6 @@ import pytest
 from compactfd import (
     CompactnessSpec,
     Instance,
-    acyclic_join_check,
     is_compact_allocation,
     lift_allocation,
     mms_oracle,
@@ -19,9 +18,23 @@ from compactfd.annotate import build_annotated, center_tuples
 from compactfd.compactness import induced_subgraph, is_annotated
 from compactfd.model import FairnessGoal, bundle_value, is_proportional
 from compactfd.treewidth import TreeDecomposition, nicefy
-from compactfd.tw_dp import _nice_for, solve_tw_goals
+from compactfd.tw_dp import _nice_for, _sort_blocks, acyclic_join, solve_tw_goals
 
 from conftest import random_instance
+
+
+def acyclic_join_check(s, part1, part2, part) -> bool:
+    """Verify that `part` is the acyclic join of `part1` and `part2`.
+
+    Each argument after `s` is a (blocks, roots) pair of a rooted partition
+    of `s`.
+    """
+    s = tuple(sorted(s))
+    blocks1, roots1 = _sort_blocks(part1[0]), tuple(sorted(part1[1]))
+    blocks2, roots2 = _sort_blocks(part2[0]), tuple(sorted(part2[1]))
+    blocks, roots = _sort_blocks(part[0]), tuple(sorted(part[1]))
+    got = acyclic_join(s, blocks1, roots1, blocks2, roots2)
+    return got is not None and got == (blocks, roots)
 
 
 def test_acyclic_join_examples():
