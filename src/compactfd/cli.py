@@ -146,6 +146,8 @@ def cmd_recognize(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     instance = load_instance(args.instance)
     spec = _spec_from(args)
     goal = GOALS[args.goal]

@@ -21,11 +21,18 @@ so leaving it out shrinks the tables and leaves the root slice unchanged.
 State keys are nested tuples: per agent (S, f, blocks, roots) with S sorted,
 f aligned to S, blocks sorted by first member, roots sorted; w is a flat
 row-major tuple.  That canonical encoding makes states hashable and the
-sweep deterministic.
+sweep deterministic.  The transitions rely on it: they re-sort only the
+blocks they change.
+
+The states of one node differ mostly in w, so each transition computes its
+bag-local update (the new agent tuples) once per distinct agent tuple of its
+input and then only adds up w per state.  The memo lives for one transition
+call; tables, their order and their back-pointers are as without it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Iterable, Optional
 
 from .annotate import (
@@ -58,6 +65,7 @@ from .treewidth import (
 
 AgentState = tuple  # (S, f, blocks, roots)
 StateKey = tuple  # (agents, w)
+_UNSEEN = object()  # memo miss, where None is a memoised answer
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +80,8 @@ def _block_of(blocks: tuple, z: int) -> tuple:
 
 
 def _sort_blocks(blocks: Iterable[tuple]) -> tuple:
-    return tuple(sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0]))
+    # blocks are disjoint, so sorting them as tuples sorts them by first member
+    return tuple(sorted(tuple(sorted(b)) for b in blocks))
 
 
 def _join_partition(s: tuple, blocks1: tuple, blocks2: tuple) -> tuple:
@@ -110,10 +119,13 @@ def acyclic_join(
     partition has |blocks1| + |blocks2| - |s| blocks.  The joined roots are
     the common roots; each block must end up with exactly one.
     """
-    joined = _join_partition(s, blocks1, blocks2)
-    if len(joined) != len(blocks1) + len(blocks2) - len(s):
-        return None
+    want = len(blocks1) + len(blocks2) - len(s)
     roots = tuple(sorted(set(roots1) & set(roots2)))
+    if len(roots) != want:
+        return None  # one root per joined block cannot hold
+    joined = _join_partition(s, blocks1, blocks2)
+    if len(joined) != want:
+        return None
     for blk in joined:
         if sum(1 for r in roots if r in blk) != 1:
             return None
@@ -156,103 +168,149 @@ def leaf_states(ctx: DPContext) -> dict[StateKey, tuple]:
     return {(agents, w): ("leaf",)}
 
 
+def _take_vertex(agents: tuple, z: int, movers: list) -> list:
+    """Bag-local part of introducing z: per agent i that may take it, the
+    agent tuples for each label it may get, in label order."""
+    takes = []
+    for i, delta, labels in movers:
+        s_i, f_i, blocks, roots = agents[i]
+        new_s = tuple(sorted(s_i + (z,)))
+        pos = new_s.index(z)
+        new_blocks = tuple(sorted(blocks + ((z,),)))
+        new_roots = tuple(sorted(roots + (z,)))
+        head, tail = agents[:i], agents[i + 1 :]
+        options = [
+            head + ((new_s, f_i[:pos] + (fv,) + f_i[pos:], new_blocks, new_roots),) + tail
+            for fv in labels
+        ]
+        takes.append((i, delta, options))
+    return takes
+
+
 def introduce_vertex_transition(
     child: dict[StateKey, tuple], z: int, ctx: DPContext
 ) -> dict[StateKey, tuple]:
     n = ctx.n
+    # per agent that may take z: z's value column added to w, and its labels
+    movers = []
+    for i in range(n):
+        dist = ctx.hub_dist[i].get(z)
+        labels = range(max(1, dist), ctx.beta + 1) if dist is not None else ()
+        if labels:
+            delta = [0] * (n * n)
+            for p in range(n):
+                delta[p * n + i] = ctx.values[p][z]
+            movers.append((i, delta, labels))
+    takes_of: dict[tuple, list] = {}  # bag-local update, once per agents tuple
     out: dict[StateKey, tuple] = {}
     for state in child:
         if not ctx.complete:
             out.setdefault(state, ("skip", state))
         agents, w = state
-        for i in range(n):
-            dist = ctx.hub_dist[i].get(z)
-            if dist is None:
-                continue
-            s_i, f_i, blocks, roots = agents[i]
-            new_s = tuple(sorted(s_i + (z,)))
-            pos = new_s.index(z)
-            new_blocks = _sort_blocks(blocks + ((z,),))
-            new_roots = tuple(sorted(roots + (z,)))
-            neww = list(w)
-            for p in range(n):
-                neww[p * n + i] += ctx.values[p][z]
-            for fv in range(max(1, dist), ctx.beta + 1):
-                new_f = f_i[:pos] + (fv,) + f_i[pos:]
-                new_agents = (
-                    agents[:i]
-                    + ((new_s, new_f, new_blocks, new_roots),)
-                    + agents[i + 1 :]
-                )
-                out.setdefault((new_agents, tuple(neww)), ("take", state, i, z))
+        takes = takes_of.get(agents)
+        if takes is None:
+            takes = takes_of[agents] = _take_vertex(agents, z, movers)
+        for i, delta, options in takes:
+            neww = tuple(map(add, w, delta))
+            ref = ("take", state, i, z)
+            for new_agents in options:
+                out.setdefault((new_agents, neww), ref)
     return out
+
+
+def _forget_vertex(agents: tuple, z: int) -> Optional[tuple]:
+    """Bag-local part of forgetting z: the new agent tuple, or None when the
+    owner's component would lose its root or its last bag vertex."""
+    for owner, (s_i, f_i, blocks, roots) in enumerate(agents):
+        if z in s_i:
+            break
+    else:
+        return agents
+    if z in roots:
+        return None  # the component would lose its distance anchor
+    blk = _block_of(blocks, z)
+    if len(blk) == 1:
+        return None  # a component may never lose its last bag vertex
+    pos = s_i.index(z)
+    new_s = s_i[:pos] + s_i[pos + 1 :]
+    new_f = f_i[:pos] + f_i[pos + 1 :]
+    new_blocks = tuple(sorted(tuple(v for v in b if v != z) if b is blk else b for b in blocks))
+    return agents[:owner] + ((new_s, new_f, new_blocks, roots),) + agents[owner + 1 :]
 
 
 def forget_transition(
     child: dict[StateKey, tuple], z: int, ctx: DPContext
 ) -> dict[StateKey, tuple]:
+    forgotten: dict[tuple, Optional[tuple]] = {}  # once per agents tuple
     out: dict[StateKey, tuple] = {}
     for state in child:
         agents, w = state
-        owner = None
-        for i, (s_i, _f, _b, _r) in enumerate(agents):
-            if z in s_i:
-                owner = i
-                break
-        if owner is None:
-            out.setdefault(state, ("fwd", state))
-            continue
-        s_i, f_i, blocks, roots = agents[owner]
-        if z in roots:
-            continue  # the component would lose its distance anchor
-        blk = _block_of(blocks, z)
-        if len(blk) == 1:
-            continue  # a component may never lose its last bag vertex
-        pos = s_i.index(z)
-        new_s = s_i[:pos] + s_i[pos + 1 :]
-        new_f = f_i[:pos] + f_i[pos + 1 :]
-        new_blocks = _sort_blocks(
-            [tuple(v for v in b if v != z) if b is blk else b for b in blocks]
-        )
-        new_agents = (
-            agents[:owner] + ((new_s, new_f, new_blocks, roots),) + agents[owner + 1 :]
-        )
-        out.setdefault((new_agents, w), ("fwd", state))
+        new_agents = forgotten.get(agents, _UNSEEN)
+        if new_agents is _UNSEEN:
+            new_agents = forgotten[agents] = _forget_vertex(agents, z)
+        if new_agents is not None:
+            out.setdefault((new_agents, w), ("fwd", state))
     return out
+
+
+def _add_edge(agents: tuple, z1: int, z2: int) -> Optional[tuple]:
+    """Bag-local part of introducing edge z1-z2: the agent tuple with the
+    edge in the witness forest of the agent owning both ends, or None when
+    no agent can use it."""
+    for i, (s_i, f_i, blocks, roots) in enumerate(agents):
+        if z1 not in s_i or z2 not in s_i:
+            continue
+        f1, f2 = f_i[s_i.index(z1)], f_i[s_i.index(z2)]
+        if abs(f1 - f2) != 1:
+            return None
+        low, high = (z1, z2) if f1 < f2 else (z2, z1)
+        if high not in roots:
+            return None
+        blk_low = _block_of(blocks, low)
+        blk_high = _block_of(blocks, high)
+        if blk_low is blk_high:
+            return None
+        merged = tuple(sorted(blk_low + blk_high))
+        new_blocks = tuple(
+            sorted([merged] + [b for b in blocks if b is not blk_low and b is not blk_high])
+        )
+        new_roots = tuple(r for r in roots if r != high)
+        return agents[:i] + ((s_i, f_i, new_blocks, new_roots),) + agents[i + 1 :]
+    return None  # the endpoints belong to at most one common agent
 
 
 def introduce_edge_transition(
     child: dict[StateKey, tuple], edge: tuple[int, int], ctx: DPContext
 ) -> dict[StateKey, tuple]:
     z1, z2 = edge
+    linked: dict[tuple, Optional[tuple]] = {}  # once per agents tuple
     out: dict[StateKey, tuple] = {}
     for state in child:
-        out.setdefault(state, ("fwd", state))
+        ref = ("fwd", state)
+        out.setdefault(state, ref)
         agents, w = state
-        for i, (s_i, f_i, blocks, roots) in enumerate(agents):
-            if z1 not in s_i or z2 not in s_i:
-                continue
-            f1, f2 = f_i[s_i.index(z1)], f_i[s_i.index(z2)]
-            if abs(f1 - f2) != 1:
-                break
-            low, high = (z1, z2) if f1 < f2 else (z2, z1)
-            if high not in roots:
-                break
-            blk_low = _block_of(blocks, low)
-            blk_high = _block_of(blocks, high)
-            if blk_low is blk_high:
-                break
-            merged = tuple(sorted(blk_low + blk_high))
-            new_blocks = _sort_blocks(
-                [merged] + [b for b in blocks if b is not blk_low and b is not blk_high]
-            )
-            new_roots = tuple(r for r in roots if r != high)
-            new_agents = (
-                agents[:i] + ((s_i, f_i, new_blocks, new_roots),) + agents[i + 1 :]
-            )
-            out.setdefault((new_agents, w), ("fwd", state))
-            break  # the endpoints belong to at most one common agent
+        new_agents = linked.get(agents, _UNSEEN)
+        if new_agents is _UNSEEN:
+            new_agents = linked[agents] = _add_edge(agents, z1, z2)
+        if new_agents is not None:
+            out.setdefault((new_agents, w), ref)
     return out
+
+
+def _join_agents(key: tuple, left: tuple, right: tuple, memo: dict) -> Optional[tuple]:
+    """Bag-local part of a join: per agent the acyclic join of the two rooted
+    partitions, or None if some agent's join has a cycle or a bad root.
+    `memo` holds the per-agent joins already computed in this transition."""
+    joined = []
+    for (s_i, f_i), agent_l, agent_r in zip(key, left, right):
+        got = memo.get((agent_l, agent_r), _UNSEEN)
+        if got is _UNSEEN:
+            part = acyclic_join(s_i, agent_l[2], agent_l[3], agent_r[2], agent_r[3])
+            got = memo[(agent_l, agent_r)] = None if part is None else (s_i, f_i, *part)
+        if got is None:
+            return None
+        joined.append(got)
+    return tuple(joined)
 
 
 def join_transition(
@@ -268,34 +326,28 @@ def join_transition(
     for buckets, table in ((buckets_l, left), (buckets_r, right)):
         for state in table:
             buckets.setdefault(tuple((ag[0], ag[1]) for ag in state[0]), []).append(state)
-    # value of each agent's shared bag vertices, subtracted from the summed w
+    agent_joins: dict[tuple, Optional[tuple]] = {}
     out: dict[StateKey, tuple] = {}
     for key in (k for k in buckets_l if k in buckets_r):
+        # value of each agent's shared bag vertices, subtracted from the summed w
         overlap = [
-            [sum(ctx.values[i][z] for z in key[j][0]) for j in range(n)]
-            for i in range(n)
+            sum(ctx.values[i][z] for z in key[j][0]) for i in range(n) for j in range(n)
         ]
+        # per distinct left agent tuple: the right states it joins with, in
+        # right order, each with the joined agent tuple
+        matches: dict[tuple, list] = {}
         for ls in buckets_l[key]:
-            for rs in buckets_r[key]:
-                joined_agents = []
-                ok = True
-                for i in range(n):
-                    s_i, f_i = key[i]
-                    got = acyclic_join(
-                        s_i, ls[0][i][2], ls[0][i][3], rs[0][i][2], rs[0][i][3]
-                    )
-                    if got is None:
-                        ok = False
-                        break
-                    joined_agents.append((s_i, f_i, got[0], got[1]))
-                if not ok:
-                    continue
-                w = tuple(
-                    ls[1][i * n + j] + rs[1][i * n + j] - overlap[i][j]
-                    for i in range(n)
-                    for j in range(n)
-                )
-                out.setdefault((tuple(joined_agents), w), ("join", ls, rs))
+            agents, w = ls
+            found = matches.get(agents)
+            if found is None:
+                found = matches[agents] = [
+                    (rs, joined)
+                    for rs in buckets_r[key]
+                    if (joined := _join_agents(key, agents, rs[0], agent_joins)) is not None
+                ]
+            base = tuple(map(sub, w, overlap))
+            for rs, new_agents in found:
+                out.setdefault((new_agents, tuple(map(add, base, rs[1]))), ("join", ls, rs))
     return out
 
 
@@ -446,12 +498,12 @@ def _check_input(instance: Instance, spec: CompactnessSpec, max_tuples: Optional
 
 def _tau_worker(payload) -> list[tuple[int, ...]]:
     """Root weight matrices for one center tuple (multiprocessing entry)."""
-    data, beta, centers, complete = payload
+    data, beta, centers, complete, td = payload
     instance = instance_from_dict(data)
     ann = build_annotated(instance, tuple(frozenset(c) for c in centers), beta)
     if complete and not ann.prunes_nothing:
         return []
-    table = run_dp(ann, _nice_for(ann, None), complete=complete)
+    table = run_dp(ann, _nice_for(ann, td), complete=complete)
     return sorted(table.root_weights())
 
 
@@ -491,7 +543,7 @@ class _TupleSource:
             tuples = list(center_tuples(self.instance, self.spec.alpha))
             data = instance_to_dict(self.instance)
             payloads = [
-                (data, self.spec.beta, [sorted(c) for c in centers], complete)
+                (data, self.spec.beta, [sorted(c) for c in centers], complete, self.td)
                 for centers in tuples
             ]
             with ProcessPoolExecutor(max_workers=self.jobs) as pool:

@@ -138,6 +138,46 @@ def test_solve_with_external_td(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["answer"] == "yes"
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_solve_rejects_jobs_below_one(jobs, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"m": 2, "edges": [[0, 1]], "agents": [{"values": [1, 1]}]}))
+    rc = main(["solve", str(path), "--goal", "prop", "--alpha", "1", "--beta", "1",
+               "--method", "tw-dp", "--jobs", jobs])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+def test_pooled_solve_uses_the_external_td(tmp_path, capsys, monkeypatch):
+    data = {
+        "m": 5,
+        "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [1, 3]],
+        "agents": [{"values": [2, 1, 0, 3, 1]}, {"values": [1, 2, 2, 0, 1]}],
+    }
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(data))
+    td = tmp_path / "p.td"
+    assert main(["decompose", str(path), "--out", str(td)]) == 0
+    capsys.readouterr()
+
+    def no_decomposing(graph):
+        raise RuntimeError("decomposed although a --td file was given")
+
+    # forked workers inherit the patch, so a worker that ignores --td fails
+    monkeypatch.setattr(tw_dp, "greedy_decompose", no_decomposing)
+    outputs = []
+    for jobs in ("1", "2"):
+        rc = main(["solve", str(path), "--goal", "mms", "--alpha", "1", "--beta", "1",
+                   "--method", "tw-dp", "--td", str(td), "--jobs", jobs])
+        assert rc == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["answer"] == "yes"
+
+
 def test_auto_dispatch(tmp_path, capsys):
     data = {
         "m": 4,

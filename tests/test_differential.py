@@ -1,11 +1,13 @@
-"""Property-based differential test: on tiny instances and non-strong specs,
-enum and tw-dp must agree with the oracle, and every "yes" must meet its
-goal by the model's own predicates."""
+"""Property-based differential tests: on tiny instances, every exact solver
+must agree with the oracle where it applies (enum and tw-dp on non-strong
+specs, matching on (1, 0), the path DP on paths with alpha = 1), and every
+"yes" must meet its goal by the model's own predicates."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compactfd import CompactnessSpec, Instance, is_compact_allocation
 from compactfd.enum_solver import answer_enum
+from compactfd.matching import mms_10, solve_mms_10, solve_prop_10
 from compactfd.model import (
     FairnessGoal,
     bundle_value,
@@ -16,21 +18,31 @@ from compactfd.model import (
     utilitarian_welfare,
 )
 from compactfd.oracle import mms_all, solve_oracle
+from compactfd.path_dp import PathInstance, solve_prop_path_agents
 from compactfd.tw_dp import answer_tw
 
 FIRST_HIT = (FairnessGoal.PROPORTIONAL, FairnessGoal.EF_COMPLETE, FairnessGoal.MAX_WELFARE)
 
 
 @st.composite
-def cases(draw):
+def instances(draw, max_agents=2, path=False):
     m = draw(st.integers(1, 5))
-    n = draw(st.integers(1, 2))
-    pairs = [(u, v) for u in range(m) for v in range(u + 1, m)]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    n = draw(st.integers(1, max_agents))
+    if path:
+        edges = [(v, v + 1) for v in range(m - 1)]
+    else:
+        pairs = [(u, v) for u in range(m) for v in range(u + 1, m)]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     row = st.lists(st.integers(0, 4), min_size=m, max_size=m)
     values = draw(st.lists(row, min_size=n, max_size=n))
+    return Instance(m, edges, values)
+
+
+@st.composite
+def cases(draw):
+    inst = draw(instances())
     spec = CompactnessSpec(draw(st.integers(1, 2)), draw(st.integers(0, 2)))
-    return Instance(m, edges, values), spec
+    return inst, spec
 
 
 def meets(inst, spec, goal, alloc, shares=None) -> bool:
@@ -62,3 +74,29 @@ def test_enum_and_tw_dp_agree_with_the_oracle(case):
         got, shares = solver(inst, spec, FairnessGoal.MAXIMIN)
         assert shares == want, solver.__name__
         assert got is None or meets(inst, spec, FairnessGoal.MAXIMIN, got, shares)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(instances(max_agents=3))
+def test_matching_agrees_with_the_oracle(inst):
+    spec = CompactnessSpec(1, 0)
+    want = solve_oracle(inst, spec, FairnessGoal.PROPORTIONAL)
+    got = solve_prop_10(inst)
+    assert (got is None) == (want is None)
+    assert got is None or meets(inst, spec, FairnessGoal.PROPORTIONAL, got)
+    shares = [mms_10(inst, i) for i in range(inst.n)]
+    assert shares == mms_all(inst, spec)
+    want = solve_oracle(inst, spec, FairnessGoal.MAXIMIN)
+    got = solve_mms_10(inst)
+    assert (got is None) == (want is None)
+    assert got is None or meets(inst, spec, FairnessGoal.MAXIMIN, got, shares)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(instances(max_agents=3, path=True), st.integers(0, 2), st.booleans())
+def test_path_dp_agrees_with_the_oracle(inst, beta, strong):
+    spec = CompactnessSpec(1, beta, strong)
+    want = solve_oracle(inst, spec, FairnessGoal.PROPORTIONAL)
+    got = solve_prop_path_agents(PathInstance(inst), beta, strong)
+    assert (got is None) == (want is None), (inst.values, beta, strong)
+    assert got is None or meets(inst, spec, FairnessGoal.PROPORTIONAL, got)

@@ -329,3 +329,70 @@ def test_planar_grid_no_special_casing():
         assert (o is None) == (t is None)
         if t is not None:
             assert is_compact_allocation(inst, t, spec)
+
+
+def _state_by_state(transition, child, *args):
+    """Drive a unary transition one child state at a time, merging the
+    outputs first-wins in child order."""
+    merged = {}
+    for state, ref in child.items():
+        for key, back in transition({state: ref}, *args).items():
+            merged.setdefault(key, back)
+    return merged
+
+
+def test_transitions_equal_their_state_by_state_runs():
+    """Each transition computes its bag-local update once per distinct agent
+    tuple; that sharing must not show: unary transitions give the same keys,
+    order and back-pointers as one-state runs, joins the same mapping as
+    one-pair runs."""
+    from compactfd.tw_dp import (
+        forget_transition,
+        introduce_edge_transition,
+        introduce_vertex_transition,
+        join_transition,
+    )
+    from compactfd.treewidth import NodeKind
+
+    unary = {
+        NodeKind.INTRODUCE_VERTEX: (introduce_vertex_transition, "vertex"),
+        NodeKind.FORGET: (forget_transition, "vertex"),
+        NodeKind.INTRODUCE_EDGE: (introduce_edge_transition, "edge"),
+    }
+    rng = random.Random(76)
+    seen = set()
+    for _ in range(8):
+        inst = random_instance(
+            rng, rng.randint(3, 5), rng.randint(1, 2), vmax=4,
+            shape=rng.choice(["random", "cycle", "star", "path"]),
+        )
+        centers = rng.choice(list(center_tuples(inst, 1)))
+        ann = build_annotated(inst, centers, rng.choice([1, 2]))
+        g = ann.instance.graph()
+        whole = frozenset(g.vertices)
+        # a root bag with two full children: the join sees full partitions
+        forked = nicefy(TreeDecomposition((whole,) * 3, ((0, 1), (0, 2))), g, anchors=ann.hubs)
+        for nice, complete in ((_nice_for(ann, None), False), (forked, True), (forked, False)):
+            table = run_dp(ann, nice, complete=complete)
+            for node_id, node in enumerate(nice.nodes):
+                got = table.tables[node_id]
+                if node.kind is NodeKind.JOIN:
+                    left, right = (table.tables[c] for c in node.children)
+                    pairwise = {}
+                    for ls, lref in left.items():
+                        for rs, rref in right.items():
+                            for key, back in join_transition(
+                                {ls: lref}, {rs: rref}, node.bag, table.ctx
+                            ).items():
+                                pairwise.setdefault(key, back)
+                    assert got == pairwise
+                elif node.kind in unary:
+                    transition, attr = unary[node.kind]
+                    child = table.tables[node.children[0]]
+                    want = _state_by_state(transition, child, getattr(node, attr), table.ctx)
+                    assert list(got.items()) == list(want.items())
+                else:
+                    continue
+                if got:
+                    seen.add(node.kind)
+    assert seen == {NodeKind.JOIN, *unary}
