@@ -80,23 +80,13 @@ def _threshold_matching(instance: Instance, thresholds: list[int]) -> Optional[A
 def solve_prop_10(instance: Instance) -> Optional[Allocation]:
     """Proportional (1, 0)-compact allocation or None.
 
-    Agent i accepts item z when n * v_i(z) >= W_i.  A saturating matching of
-    the agents with W_i > 0 is necessary and sufficient; agents with W_i = 0
-    are proportional with an empty bundle, so they never block a yes answer.
+    Agent i accepts item z when n * v_i(z) >= W_i, which in integers is
+    v_i(z) >= ceil(W_i / n).  A saturating matching of the agents with
+    W_i > 0 is necessary and sufficient; agents with W_i = 0 are
+    proportional with an empty bundle, so they never block a yes answer.
     """
     n = instance.n
-    totals = [total_value(instance, i) for i in range(n)]
-    needing = [i for i in range(n) if totals[i] > 0]
-    graph = build_agent_item_graph(
-        instance, lambda i, z: n * instance.values[i][z] >= totals[i]
-    )
-    matched = maximum_matching(graph, needing)
-    if len(matched) < len(needing):
-        return None
-    bundles = [frozenset() for _ in range(n)]
-    for a, z in matched.items():
-        bundles[a] = frozenset([z])
-    return Allocation(tuple(bundles))
+    return _threshold_matching(instance, [-(-total_value(instance, i) // n) for i in range(n)])
 
 
 def mms_10(instance: Instance, agent: int) -> int:

@@ -2,18 +2,20 @@
 on path graphs.
 
 A bundle inducing a single ball cover on a path must be one contiguous block
-of at most 2*beta + 1 vertices (beta + 1 in the strong variant), so both DPs
-sweep the path left to right assigning disjoint blocks, leaving gaps free.
-The agents table keys states by the subset of agents already served; the
-types table replaces the subset with a count vector per agent type.
+of at most 2*beta + 1 vertices (beta + 1 in the strong variant), so the DP
+sweeps the path left to right assigning disjoint blocks, leaving gaps free.
+Its table keys states by a count vector per agent type: how many agents of
+each type are already served.  The agents DP is the same table with every
+agent her own type, so the vector is the subset of agents served.
 Valuations may be a black-box bundle function (additivity is not required);
 the additive default uses prefix sums.
 
-A table entry [i, j, state] says: the agents recorded in `state` can all be
+A table entry [i, j, state] says: the agents counted in `state` can all be
 given proportional blocks inside the first i vertices with no vertex after
 position j allocated.  Peeling the rightmost block (lo, hi] leads to the
-predecessor entry [hi, lo, state - agent].  Indices include 0 so blocks that
-touch the first vertex and fully empty prefixes are representable.
+predecessor entry [hi, lo, state minus one agent of the block's type].
+Indices include 0 so blocks that touch the first vertex and fully empty
+prefixes are representable.
 """
 from __future__ import annotations
 
@@ -120,49 +122,6 @@ def _proportional_blocks(path: PathInstance, beta: int, strong: bool, payers):
     return out
 
 
-def solve_prop_path_agents(
-    path: PathInstance, beta: int, strong: bool = False
-) -> Optional[Allocation]:
-    """Agents-subset DP; returns a witness allocation or None."""
-    m, n = path.m, path.n
-    blocks = _proportional_blocks(path, beta, strong, range(n))
-    full = (1 << n) - 1
-    table: dict[tuple[int, int, int], Optional[tuple]] = {}
-    for i in range(m + 1):
-        for j in range(i + 1):
-            table[(i, j, 0)] = None
-    for mask in sorted(range(1, full + 1), key=lambda s: bin(s).count("1")):
-        members = [a for a in range(n) if mask & (1 << a)]
-        for j in range(m + 1):
-            hit = None
-            for a in members:
-                sub = mask & ~(1 << a)
-                for (lo, hi) in blocks[a]:
-                    if hi <= j and (hi, lo, sub) in table:
-                        hit = (a, lo, hi)
-                        break
-                if hit:
-                    break
-            if hit:
-                for i in range(j, m + 1):
-                    table[(i, j, mask)] = hit
-    assert len(table) <= (m + 1) * (m + 1) * (1 << n)
-    start = None
-    for j in range(m + 1):
-        if (m, j, full) in table:
-            start = (m, j, full)
-            break
-    if start is None:
-        return None
-    bundles = [frozenset() for _ in range(n)]
-    state = start
-    while state[2] != 0:
-        a, lo, hi = table[state]
-        bundles[a] = frozenset(path.order[lo:hi])
-        state = (hi, lo, state[2] & ~(1 << a))
-    return Allocation(tuple(bundles))
-
-
 @dataclass(frozen=True)
 class AgentTypeProfile:
     """Grouping of agents into identical-valuation types."""
@@ -231,12 +190,15 @@ def solve_prop_path_types(
     for vec in all_vecs:
         if vec == zero:
             continue
+        # per type with an agent in vec: the state before that agent's block
+        subs = [
+            (q, tuple(c - 1 if r == q else c for r, c in enumerate(vec)))
+            for q in range(p)
+            if vec[q]
+        ]
         for j in range(m + 1):
             hit = None
-            for q in range(p):
-                if vec[q] == 0:
-                    continue
-                sub = tuple(c - 1 if r == q else c for r, c in enumerate(vec))
+            for q, sub in subs:
                 for (lo, hi) in blocks[reps[q]]:
                     if hi <= j and (hi, lo, sub) in table:
                         hit = (q, lo, hi)
@@ -270,3 +232,13 @@ def solve_prop_path_types(
         vec = state[2]
         state = (hi, lo, tuple(c - 1 if r == q else c for r, c in enumerate(vec)))
     return Allocation(tuple(bundles))
+
+
+def solve_prop_path_agents(
+    path: PathInstance, beta: int, strong: bool = False
+) -> Optional[Allocation]:
+    """Agents DP: the type-count DP with every agent her own type, so the
+    count vector is the subset of agents already served."""
+    n = path.n
+    profile = AgentTypeProfile(tuple(range(n)), (1,) * n)
+    return solve_prop_path_types(path, beta, strong, profile)

@@ -5,10 +5,16 @@ A state records, per agent: the bag vertices she owns (her hub always
 included), a distance label f(z) in [0, beta] for each owned bag vertex, and
 a rooted partition of those vertices into the connected components of a
 witness forest; plus the full n x n matrix w of values agents assign to the
-bundles built so far.  A state is stored iff some allocation of the swept
-subgraph realizes it with labels no smaller than hub distances (below); the
-root slice then lists exactly the achievable value
-matrices of annotated allocations.  The drivers hand those matrices, tuple
+forgotten part of each bundle built so far.  A state is stored iff some
+allocation of the swept subgraph realizes it with labels no smaller than hub
+distances (below); the root slice then lists exactly the achievable value
+matrices of annotated allocations.
+
+A vertex's values enter w once, when it is forgotten, in its owner's column.
+Bag vertices are not yet counted, so the two sides of a join never both
+count a vertex and a join simply adds their w.  The root bag holds only the
+hubs, which are zero-valued and never forgotten, so at the root w is the
+value matrix of the whole bundles.  The drivers hand those matrices, tuple
 by tuple, to the goal layer (`goals`), which answers every fairness goal
 from them.
 
@@ -32,13 +38,12 @@ call; tables, their order and their back-pointers are as without it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, sub
+from operator import add
 from typing import Iterable, Optional
 
 from .annotate import (
     AnnotatedInstance,
     build_annotated,
-    build_annotated_instances,
     center_tuples,
     count_center_tuples,
     lift_allocation,
@@ -156,23 +161,24 @@ class DPContext:
             for h in self.hubs
         ]
         self.wmax = max(total_value(inst, i) for i in range(inst.n))
+        self.ceilings: dict[int, int] = {}  # state ceiling per bag size (_state_guard)
 
 
 def leaf_states(ctx: DPContext) -> dict[StateKey, tuple]:
-    """The single reachable state at a leaf: each hub alone in its bundle."""
+    """The single reachable state at a leaf: each hub alone in its bundle,
+    nothing forgotten yet."""
     n = ctx.n
     agents = tuple(
         ((ctx.hubs[i],), (0,), ((ctx.hubs[i],),), (ctx.hubs[i],)) for i in range(n)
     )
-    w = tuple(ctx.values[i][ctx.hubs[j]] for i in range(n) for j in range(n))
-    return {(agents, w): ("leaf",)}
+    return {(agents, (0,) * (n * n)): ("leaf",)}
 
 
 def _take_vertex(agents: tuple, z: int, movers: list) -> list:
     """Bag-local part of introducing z: per agent i that may take it, the
     agent tuples for each label it may get, in label order."""
     takes = []
-    for i, delta, labels in movers:
+    for i, labels in movers:
         s_i, f_i, blocks, roots = agents[i]
         new_s = tuple(sorted(s_i + (z,)))
         pos = new_s.index(z)
@@ -183,24 +189,21 @@ def _take_vertex(agents: tuple, z: int, movers: list) -> list:
             head + ((new_s, f_i[:pos] + (fv,) + f_i[pos:], new_blocks, new_roots),) + tail
             for fv in labels
         ]
-        takes.append((i, delta, options))
+        takes.append((i, options))
     return takes
 
 
 def introduce_vertex_transition(
     child: dict[StateKey, tuple], z: int, ctx: DPContext
 ) -> dict[StateKey, tuple]:
-    n = ctx.n
-    # per agent that may take z: z's value column added to w, and its labels
+    # per agent that may take z: the labels it may get (w counts z only
+    # once z is forgotten)
     movers = []
-    for i in range(n):
+    for i in range(ctx.n):
         dist = ctx.hub_dist[i].get(z)
         labels = range(max(1, dist), ctx.beta + 1) if dist is not None else ()
         if labels:
-            delta = [0] * (n * n)
-            for p in range(n):
-                delta[p * n + i] = ctx.values[p][z]
-            movers.append((i, delta, labels))
+            movers.append((i, labels))
     takes_of: dict[tuple, list] = {}  # bag-local update, once per agents tuple
     out: dict[StateKey, tuple] = {}
     for state in child:
@@ -210,22 +213,23 @@ def introduce_vertex_transition(
         takes = takes_of.get(agents)
         if takes is None:
             takes = takes_of[agents] = _take_vertex(agents, z, movers)
-        for i, delta, options in takes:
-            neww = tuple(map(add, w, delta))
+        for i, options in takes:
             ref = ("take", state, i, z)
             for new_agents in options:
-                out.setdefault((new_agents, neww), ref)
+                out.setdefault((new_agents, w), ref)
     return out
 
 
-def _forget_vertex(agents: tuple, z: int) -> Optional[tuple]:
-    """Bag-local part of forgetting z: the new agent tuple, or None when the
-    owner's component would lose its root or its last bag vertex."""
+def _forget_vertex(agents: tuple, z: int, columns: list) -> Optional[tuple]:
+    """Bag-local part of forgetting z: the new agent tuple and the value
+    column z adds to w (its owner's entry of `columns`, None when z is
+    unallocated), or None when the owner's component would lose its root or
+    its last bag vertex."""
     for owner, (s_i, f_i, blocks, roots) in enumerate(agents):
         if z in s_i:
             break
     else:
-        return agents
+        return agents, None
     if z in roots:
         return None  # the component would lose its distance anchor
     blk = _block_of(blocks, z)
@@ -235,20 +239,30 @@ def _forget_vertex(agents: tuple, z: int) -> Optional[tuple]:
     new_s = s_i[:pos] + s_i[pos + 1 :]
     new_f = f_i[:pos] + f_i[pos + 1 :]
     new_blocks = tuple(sorted(tuple(v for v in b if v != z) if b is blk else b for b in blocks))
-    return agents[:owner] + ((new_s, new_f, new_blocks, roots),) + agents[owner + 1 :]
+    new_agents = agents[:owner] + ((new_s, new_f, new_blocks, roots),) + agents[owner + 1 :]
+    return new_agents, columns[owner]
 
 
 def forget_transition(
     child: dict[StateKey, tuple], z: int, ctx: DPContext
 ) -> dict[StateKey, tuple]:
+    n = ctx.n
+    # per owner i: z's values, in column i of the flat row-major w
+    columns = [
+        tuple(ctx.values[p][z] if j == i else 0 for p in range(n) for j in range(n))
+        for i in range(n)
+    ]
     forgotten: dict[tuple, Optional[tuple]] = {}  # once per agents tuple
     out: dict[StateKey, tuple] = {}
     for state in child:
         agents, w = state
-        new_agents = forgotten.get(agents, _UNSEEN)
-        if new_agents is _UNSEEN:
-            new_agents = forgotten[agents] = _forget_vertex(agents, z)
-        if new_agents is not None:
+        got = forgotten.get(agents, _UNSEEN)
+        if got is _UNSEEN:
+            got = forgotten[agents] = _forget_vertex(agents, z, columns)
+        if got is not None:
+            new_agents, column = got
+            if column is not None:
+                w = tuple(map(add, w, column))
             out.setdefault((new_agents, w), ("fwd", state))
     return out
 
@@ -319,7 +333,6 @@ def join_transition(
     bag: frozenset[int],
     ctx: DPContext,
 ) -> dict[StateKey, tuple]:
-    n = ctx.n
     # states grouped by each agent's (S, f), the part both sides must share
     buckets_l: dict[tuple, list[StateKey]] = {}
     buckets_r: dict[tuple, list[StateKey]] = {}
@@ -329,10 +342,6 @@ def join_transition(
     agent_joins: dict[tuple, Optional[tuple]] = {}
     out: dict[StateKey, tuple] = {}
     for key in (k for k in buckets_l if k in buckets_r):
-        # value of each agent's shared bag vertices, subtracted from the summed w
-        overlap = [
-            sum(ctx.values[i][z] for z in key[j][0]) for i in range(n) for j in range(n)
-        ]
         # per distinct left agent tuple: the right states it joins with, in
         # right order, each with the joined agent tuple
         matches: dict[tuple, list] = {}
@@ -345,9 +354,8 @@ def join_transition(
                     for rs in buckets_r[key]
                     if (joined := _join_agents(key, agents, rs[0], agent_joins)) is not None
                 ]
-            base = tuple(map(sub, w, overlap))
             for rs, new_agents in found:
-                out.setdefault((new_agents, tuple(map(add, base, rs[1]))), ("join", ls, rs))
+                out.setdefault((new_agents, tuple(map(add, w, rs[1]))), ("join", ls, rs))
     return out
 
 
@@ -356,14 +364,16 @@ def join_transition(
 
 
 def _state_guard(bag_size: int, count: int, ctx: DPContext) -> None:
-    n, beta, wmax = ctx.n, ctx.beta, ctx.wmax
-    bound = (
-        (n + 1) ** bag_size
-        * (n + 1) ** bag_size
-        * max(bag_size, 1) ** bag_size
-        * (beta + 1) ** bag_size
-        * (wmax + 1) ** (n * n)
-    )
+    bound = ctx.ceilings.get(bag_size)
+    if bound is None:
+        n, beta, wmax = ctx.n, ctx.beta, ctx.wmax
+        bound = ctx.ceilings[bag_size] = (
+            (n + 1) ** bag_size
+            * (n + 1) ** bag_size
+            * max(bag_size, 1) ** bag_size
+            * (beta + 1) ** bag_size
+            * (wmax + 1) ** (n * n)
+        )
     if count > bound:
         raise RuntimeError(
             f"state table holds {count} entries, above the ceiling {bound}"
@@ -496,15 +506,23 @@ def _check_input(instance: Instance, spec: CompactnessSpec, max_tuples: Optional
             )
 
 
+def _sweep(instance: Instance, beta: int, centers: tuple, complete: bool,
+           td: Optional[TreeDecomposition]) -> Optional[RootTable]:
+    """The DP over one center tuple's annotated instance, or None when a
+    complete goal skips the tuple (its pruning drops a vertex, which can then
+    never be allocated)."""
+    ann = build_annotated(instance, centers, beta)
+    if complete and not ann.prunes_nothing:
+        return None
+    return run_dp(ann, _nice_for(ann, td), complete=complete)
+
+
 def _tau_worker(payload) -> list[tuple[int, ...]]:
     """Root weight matrices for one center tuple (multiprocessing entry)."""
     data, beta, centers, complete, td = payload
-    instance = instance_from_dict(data)
-    ann = build_annotated(instance, tuple(frozenset(c) for c in centers), beta)
-    if complete and not ann.prunes_nothing:
-        return []
-    table = run_dp(ann, _nice_for(ann, td), complete=complete)
-    return sorted(table.root_weights())
+    centers = tuple(frozenset(c) for c in centers)
+    table = _sweep(instance_from_dict(data), beta, centers, complete, td)
+    return [] if table is None else sorted(table.root_weights())
 
 
 def _witness(
@@ -515,9 +533,8 @@ def _witness(
     complete: bool,
     base_td: Optional[TreeDecomposition],
 ) -> Allocation:
-    ann = build_annotated(instance, centers, spec.beta)
-    table = run_dp(ann, _nice_for(ann, base_td), complete=complete)
-    return lift_allocation(ann, table.extract(table.root_state_for(w)))
+    table = _sweep(instance, spec.beta, centers, complete, base_td)
+    return lift_allocation(table.ann, table.extract(table.root_state_for(w)))
 
 
 class _TupleSource:
@@ -551,11 +568,11 @@ class _TupleSource:
                     for w in weights:
                         yield w, (centers, complete)
             return
-        for ann in build_annotated_instances(self.instance, self.spec):
-            if complete and not ann.prunes_nothing:
+        for centers in center_tuples(self.instance, self.spec.alpha):
+            table = _sweep(self.instance, self.spec.beta, centers, complete, self.td)
+            if table is None:
                 continue
-            table = run_dp(ann, _nice_for(ann, self.td), complete=complete)
-            key = (ann.centers, complete)
+            key = (centers, complete)
             self._live = (key, table)
             for w in sorted(table.root_weights()):
                 yield w, key

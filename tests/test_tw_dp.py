@@ -272,7 +272,7 @@ def test_transition_level_hand_trace():
     takes = [s for s in after_v if s != leaf_state]
     assert len(takes) == 1
     take = takes[0]
-    assert take[1] == (5,)
+    assert take[1] == (0,)  # a vertex's value enters w only when it is forgotten
     s0, f0, blocks0, roots0 = take[0][0]
     assert s0 == (0, hub) and blocks0 == ((0,), (hub,)) and set(roots0) == {0, hub}
 
