@@ -35,7 +35,6 @@ from .oracle import (
     BudgetExceededError,
     OracleBudget,
     enumerate_allocations,
-    is_pareto_optimal,
     mms_oracle,
     solve_oracle,
 )

@@ -1,14 +1,17 @@
 """Brute-force ground truth for tiny instances.
 
-Enumerates all (n+1)^m assignments of vertices to agents-or-unallocated and
-checks fairness and compactness exactly.  Deliberately free of pruning
-cleverness: the oracle's value is its obviousness.  Every specialized solver
-is tested against it.
+Enumerates all (n+1)^m assignments of vertices to agents-or-unallocated, in
+the lexicographic order of `itertools.product`, and checks fairness and
+compactness exactly.  Deliberately free of pruning cleverness: the oracle's
+value is its obviousness, and every specialized solver is tested against it.
+The one concession to speed is that `_scan` walks the assignments as an
+odometer, updating only what a step changes; the lists it yields are mutated
+in place, so every pass copies what it keeps.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from operator import ge
 from typing import Iterator, Optional
 
 from .compactness import BundleCompactnessCache
@@ -17,7 +20,6 @@ from .model import (
     CompactnessSpec,
     FairnessGoal,
     Instance,
-    bundle_value,
     max_welfare_upper,
     total_value,
 )
@@ -61,34 +63,72 @@ def _check_budget(instance: Instance, budget: Optional[OracleBudget]) -> None:
         )
 
 
-def _assignments(instance: Instance):
-    """Mixed-radix counter over vertices; digit n means 'unallocated'."""
-    return itertools.product(range(instance.n + 1), repeat=instance.m)
-
-
 def enumerate_allocations(
     instance: Instance, budget: Optional[OracleBudget] = None
 ) -> Iterator[Allocation]:
     """Yield each of the (n+1)^m allocations exactly once, deterministically."""
     _check_budget(instance, budget)
-    for digits in _assignments(instance):
+    for digits, _masks, _vals in _scan(instance):
         yield _allocation_from_digits(instance, digits)
 
 
-def _scan(instance: Instance):
-    """Yield (digits, per-agent bundle masks, per-agent own values) for every
-    assignment.  Shared inner loop for the exhaustive passes."""
+def _scan(instance: Instance, matrix: bool = False):
+    """Yield (digits, masks, vals) for every assignment, in the order of
+    `itertools.product(range(n + 1), repeat=m)`: digits[z] is vertex z's
+    agent (n: unallocated) and the last digit turns fastest.  masks[a] is
+    agent a's bundle as a bit mask and vals[a] that agent's value for it.
+    With `matrix`, the third item is instead the n x n matrix whose [i][a]
+    is agent i's value for agent a's bundle.
+
+    A mixed-radix odometer (Knuth, TAOCP 4A, 7.2.1.1, Algorithm M): a step
+    moves the rightmost vertex z below n on to the next agent and every
+    vertex after z from n back to agent 0, so it touches only the bundles
+    those vertices leave and enter.  The three lists are the same objects
+    at every step and are mutated in place: a caller copies whatever it
+    keeps, as `distinct_utility_vectors` does with `tuple(vals)`."""
     n, m = instance.n, instance.m
-    rows = [list(r) for r in instance.values]
-    for digits in _assignments(instance):
-        masks = [0] * n
-        vals = [0] * n
-        for z in range(m):
-            a = digits[z]
-            if a < n:
-                masks[a] |= 1 << z
-                vals[a] += rows[a][z]
-        yield digits, masks, vals
+    rows = instance.values
+    # tail[z]: the bits of vertices z..m-1; suf[i][z]: agent i's value for them
+    tail = [((1 << m) - 1) >> z << z for z in range(m + 1)]
+    suf = [[sum(row[z:]) for z in range(m + 1)] for row in rows]
+    digits, masks = [0] * m, [0] * n
+    masks[0] = tail[0]
+    if matrix:
+        out = [[s[0]] + [0] * (n - 1) for s in suf]
+    else:
+        out = [suf[0][0]] + [0] * (n - 1)
+    agents, last = range(n), m - 1
+    while True:
+        yield digits, masks, out
+        z = last
+        while z >= 0 and digits[z] == n:
+            digits[z] = 0
+            z -= 1
+        if z < 0:
+            return
+        a = digits[z]
+        digits[z] = b = a + 1
+        bit = 1 << z
+        masks[a] ^= bit
+        if b < n:
+            masks[b] |= bit
+        if matrix:
+            for i in agents:
+                row, val = out[i], rows[i][z]
+                row[a] -= val
+                if b < n:
+                    row[b] += val
+        else:
+            out[a] -= rows[a][z]
+            if b < n:
+                out[b] += rows[b][z]
+        if z < last:  # vertices z+1..m-1 go from unallocated to agent 0
+            masks[0] |= tail[z + 1]
+            if matrix:
+                for i in agents:
+                    out[i][0] += suf[i][z + 1]
+            else:
+                out[0] += suf[0][z + 1]
 
 
 def _allocation_from_digits(instance: Instance, digits) -> Allocation:
@@ -98,16 +138,6 @@ def _allocation_from_digits(instance: Instance, digits) -> Allocation:
         if a < n:
             bundles[a].add(z)
     return Allocation(tuple(frozenset(b) for b in bundles))
-
-
-def _value_matrix(instance: Instance, digits) -> list[list[int]]:
-    n = instance.n
-    mat = [[0] * n for _ in range(n)]
-    for z, a in enumerate(digits):
-        if a < n:
-            for i in range(n):
-                mat[i][a] += instance.values[i][z]
-    return mat
 
 
 def distinct_utility_vectors(
@@ -127,13 +157,8 @@ def _dominated(vec, vectors) -> bool:
     return False
 
 
-def is_pareto_optimal(
-    instance: Instance, allocation: Allocation, budget: Optional[OracleBudget] = None
-) -> bool:
-    """Exhaustive check: no allocation weakly improves everyone and strictly
-    improves someone.  Quantifies over all allocations, not just compact ones."""
-    vec = tuple(bundle_value(instance, i, allocation.bundles[i]) for i in range(instance.n))
-    return not _dominated(vec, distinct_utility_vectors(instance, budget))
+def _envy_free(mat) -> bool:
+    return all(row[i] == max(row) for i, row in enumerate(mat))
 
 
 def mms_all(
@@ -141,22 +166,11 @@ def mms_all(
 ) -> list[int]:
     """Exact maximin share of every agent over the spec-compact allocation class."""
     _check_budget(instance, budget)
-    n = instance.n
-    cache = BundleCompactnessCache(instance, spec)
-    best = [0] * n
-    rows = instance.values
-    for digits, masks, _vals in _scan(instance):
-        if not all(cache.check_mask(mk) for mk in masks):
-            continue
-        for i in range(n):
-            row = rows[i]
-            per = [0] * n
-            for z, a in enumerate(digits):
-                if a < n:
-                    per[a] += row[z]
-            worst = min(per)
-            if worst > best[i]:
-                best[i] = worst
+    check = BundleCompactnessCache(instance, spec).check_mask
+    best = [0] * instance.n
+    for _digits, masks, mat in _scan(instance, matrix=True):
+        if all(map(check, masks)):
+            best = list(map(max, best, map(min, mat)))
     return best
 
 
@@ -178,48 +192,35 @@ def solve_oracle(
     and the fairness goal, or None."""
     _check_budget(instance, budget)
     n = instance.n
-    cache = BundleCompactnessCache(instance, spec)
-    totals = [total_value(instance, i) for i in range(n)]
+    check = BundleCompactnessCache(instance, spec).check_mask
 
     if goal is FairnessGoal.PROPORTIONAL:
+        # v >= W/n for an integer v is v >= ceil(W/n)
+        shares = [-(-total_value(instance, i) // n) for i in range(n)]
         for digits, masks, vals in _scan(instance):
-            if all(n * vals[i] >= totals[i] for i in range(n)) and all(
-                cache.check_mask(mk) for mk in masks
-            ):
+            if all(map(ge, vals, shares)) and all(map(check, masks)):
                 return _allocation_from_digits(instance, digits)
         return None
 
     if goal is FairnessGoal.MAX_WELFARE:
         target = max_welfare_upper(instance)
         for digits, masks, vals in _scan(instance):
-            if sum(vals) == target and all(cache.check_mask(mk) for mk in masks):
+            if sum(vals) == target and all(map(check, masks)):
                 return _allocation_from_digits(instance, digits)
         return None
 
     if goal is FairnessGoal.EF_COMPLETE:
-        full = (1 << instance.m) - 1
-        for digits, masks, vals in _scan(instance):
-            got = 0
-            for mk in masks:
-                got |= mk
-            if got != full:
-                continue
-            mat = _value_matrix(instance, digits)
-            if all(mat[i][i] >= mat[i][j] for i in range(n) for j in range(n)) and all(
-                cache.check_mask(mk) for mk in masks
-            ):
+        for digits, masks, mat in _scan(instance, matrix=True):
+            if n not in digits and _envy_free(mat) and all(map(check, masks)):
                 return _allocation_from_digits(instance, digits)
         return None
 
     if goal is FairnessGoal.EF_PARETO:
         vectors = distinct_utility_vectors(instance, budget)
-        for digits, masks, vals in _scan(instance):
-            mat = _value_matrix(instance, digits)
-            if not all(mat[i][i] >= mat[i][j] for i in range(n) for j in range(n)):
+        for digits, masks, mat in _scan(instance, matrix=True):
+            if not (_envy_free(mat) and all(map(check, masks))):
                 continue
-            if not all(cache.check_mask(mk) for mk in masks):
-                continue
-            if not _dominated(tuple(vals), vectors):
+            if not _dominated(tuple(row[i] for i, row in enumerate(mat)), vectors):
                 return _allocation_from_digits(instance, digits)
         return None
 
@@ -241,11 +242,8 @@ def answer_oracle(
     if goal is not FairnessGoal.MAXIMIN:
         return solve_oracle(instance, spec, goal, budget), None
     thresholds = mms_all(instance, spec, budget)
-    n = instance.n
-    cache = BundleCompactnessCache(instance, spec)
+    check = BundleCompactnessCache(instance, spec).check_mask
     for digits, masks, vals in _scan(instance):
-        if all(vals[i] >= thresholds[i] for i in range(n)) and all(
-            cache.check_mask(mk) for mk in masks
-        ):
+        if all(map(ge, vals, thresholds)) and all(map(check, masks)):
             return _allocation_from_digits(instance, digits), thresholds
     return None, thresholds

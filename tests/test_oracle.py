@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from compactfd import (
@@ -6,12 +9,43 @@ from compactfd import (
     Instance,
     enumerate_allocations,
     is_compact_allocation,
-    is_pareto_optimal,
     mms_oracle,
     solve_oracle,
 )
+from compactfd import oracle
+from compactfd.compactness import BundleCompactnessCache
 from compactfd.model import FairnessGoal, bundle_value, is_proportional, utilitarian_welfare
-from compactfd.oracle import BudgetExceededError, OracleBudget, mms_all
+from compactfd.oracle import (
+    BudgetExceededError,
+    OracleBudget,
+    _dominated,
+    distinct_utility_vectors,
+    mms_all,
+)
+
+from conftest import random_instance
+
+
+def is_pareto_optimal(inst, alloc):
+    """No allocation, compact or not, weakly improves every agent and
+    strictly improves one."""
+    vec = tuple(bundle_value(inst, i, alloc.bundles[i]) for i in range(inst.n))
+    return not _dominated(vec, distinct_utility_vectors(inst))
+
+
+def product_scan(inst):
+    """Reference walk: itertools.product, every mask and value rebuilt from
+    all m digits.  Yields fresh (digits, masks, value matrix) per step."""
+    n = inst.n
+    for digits in itertools.product(range(n + 1), repeat=inst.m):
+        masks = [0] * n
+        mat = [[0] * n for _ in range(n)]
+        for z, a in enumerate(digits):
+            if a < n:
+                masks[a] |= 1 << z
+                for i in range(n):
+                    mat[i][a] += inst.values[i][z]
+        yield digits, masks, mat
 
 
 def test_enumeration_counts():
@@ -116,3 +150,54 @@ def test_maximin_solution_respects_thresholds():
     assert alloc is not None
     for i in range(2):
         assert bundle_value(inst, i, alloc.bundles[i]) >= thresholds[i]
+
+
+def test_scan_matches_product_reference():
+    rng = random.Random(20231)
+    cases = [(0, n) for n in (1, 2, 3)]
+    cases += [(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(210)]
+    for m, n in cases:
+        inst = random_instance(rng, m, n, vmax=9, shape="edgeless")
+        want = list(product_scan(inst))
+        diag = [(d, tuple(k), tuple(mat[i][i] for i in range(n))) for d, k, mat in want]
+        full = [(d, tuple(k), tuple(map(tuple, mat))) for d, k, mat in want]
+        assert [(tuple(d), tuple(k), tuple(v)) for d, k, v in oracle._scan(inst)] == diag
+        assert [
+            (tuple(d), tuple(k), tuple(map(tuple, mat)))
+            for d, k, mat in oracle._scan(inst, matrix=True)
+        ] == full
+
+
+def test_mms_all_matches_per_agent_rebuild():
+    rng = random.Random(7)
+    specs = [
+        CompactnessSpec(1, 0),
+        CompactnessSpec(1, 1),
+        CompactnessSpec(2, 1),
+        CompactnessSpec(1, 2, strong=True),
+        CompactnessSpec(2, 1, strong=True),
+    ]
+    for _ in range(40):
+        inst = random_instance(rng, rng.randint(0, 6), rng.randint(1, 3), vmax=9)
+        n, rows = inst.n, inst.values
+        for spec in specs:
+            cache = BundleCompactnessCache(inst, spec)
+            best = [0] * n
+            for digits, masks, _mat in product_scan(inst):
+                if not all(cache.check_mask(mk) for mk in masks):
+                    continue
+                for i in range(n):
+                    per = [0] * n
+                    for z, a in enumerate(digits):
+                        if a < n:
+                            per[a] += rows[i][z]
+                    best[i] = max(best[i], min(per))
+            assert mms_all(inst, spec) == best, (inst.m, inst.edges, rows, spec)
+        # the callers that keep what the scan yields must copy it
+        assert distinct_utility_vectors(inst) == {
+            tuple(mat[i][i] for i in range(n)) for _d, _k, mat in product_scan(inst)
+        }
+        assert list(enumerate_allocations(inst)) == [
+            Allocation(tuple(frozenset(z for z in range(inst.m) if mk >> z & 1) for mk in masks))
+            for _d, masks, _mat in product_scan(inst)
+        ]
