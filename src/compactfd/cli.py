@@ -6,10 +6,16 @@ exceeded, 2 for malformed input or unsupported combinations, 3 when an
 internal invariant fails (a DP table above its ceiling, a witness that does
 not re-validate, or a `solve` answer that fails its certification); the
 last three print one line on stderr and nothing on stdout.
+
+The argument parser is built once per process (`build_parser` is memoised)
+and every `main` call parses into a fresh namespace.  Its subcommand
+handlers (`set_defaults(func=cmd_*)`) are therefore bound when it is first
+built; replacing a `cmd_*` function afterwards does not reach `main`.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -255,6 +261,7 @@ def cmd_decompose(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="compactfd", description="fair division of graphs into compact bundles"
@@ -320,8 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceededError as exc:

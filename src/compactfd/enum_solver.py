@@ -78,10 +78,12 @@ def enumerate_compact_allocations(
     yield from rec(0, 0, list(range(len(bundles))))
 
 
-def _matrices(instance: Instance, spec: CompactnessSpec, budget: int, complete: bool):
+def _matrices(instance: Instance, spec: CompactnessSpec, budget: int, complete: bool,
+              relevant: goals.Relevance = None):
     """Candidates for the goal layer: each enumerated compact allocation (only
     complete ones if `complete`) with its value matrix, keyed by itself.
-    Each bundle's value column is computed once per pass."""
+    Each bundle's value column is computed once per pass.  `relevant` is
+    ignored: no bound here is cheaper than the matrices themselves."""
     rows, m = instance.values, instance.m
     columns: dict[frozenset[int], tuple[int, ...]] = {}
     for alloc in enumerate_compact_allocations(instance, spec, budget):
@@ -126,4 +128,4 @@ def mms_enum(
     instance: Instance, spec: CompactnessSpec, budget: int = DEFAULT_WORK_BUDGET
 ) -> list[int]:
     """Maximin share per agent, computed from a full enumeration pass."""
-    return goals.maximin(instance, _matrices(instance, spec, budget, False))[1]
+    return goals.maximin(instance, partial(_matrices, instance, spec, budget, False))[1]

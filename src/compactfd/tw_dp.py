@@ -16,7 +16,8 @@ count a vertex and a join simply adds their w.  The root bag holds only the
 hubs, which are zero-valued and never forgotten, so at the root w is the
 value matrix of the whole bundles.  The drivers hand those matrices, tuple
 by tuple, to the goal layer (`goals`), which answers every fairness goal
-from them.
+from them; a tuple whose ball bound the goal layer rules out is never
+annotated (`_TupleSource`).
 
 A label is a depth in the witness tree, which is at least the distance
 inside the bundle and so at least the graph distance from the hub.  Vertex z
@@ -38,6 +39,7 @@ call; tables, their order and their back-pointers are as without it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from operator import add
 from typing import Iterable, Optional
 
@@ -48,7 +50,7 @@ from .annotate import (
     count_center_tuples,
     lift_allocation,
 )
-from .compactness import bfs_distances, induced_subgraph, is_annotated
+from .compactness import ball, bfs_distances, induced_subgraph, is_annotated
 from .model import (
     Allocation,
     CompactnessSpec,
@@ -543,6 +545,12 @@ class _TupleSource:
     (centers, complete).  Under a complete goal, tuples whose pruning drops
     a vertex are skipped (a dropped vertex can never be allocated).
 
+    Given a `relevant` predicate (see `goals`), a tuple is also skipped, before
+    it is annotated, when its ball bound fails it: bundle j only holds
+    vertices within beta of C_j, so no root matrix exceeds
+    ub[p * n + j] = agent p's value for the union of the balls around C_j.
+    A pooled sweep (jobs > 1) sweeps every tuple.
+
     The witness for the tuple being read comes off its live table; any other
     key, and any key of a pooled sweep (jobs > 1), re-runs its tuple's DP
     (`_witness`).  A tuple's tables are dropped once its matrices are read,
@@ -553,7 +561,7 @@ class _TupleSource:
         self.instance, self.spec, self.td, self.jobs = instance, spec, td, jobs
         self._live = None  # (key, table) of the tuple being read
 
-    def candidates(self, complete: bool):
+    def candidates(self, complete: bool, relevant: goal_layer.Relevance = None):
         if self.jobs > 1:
             from concurrent.futures import ProcessPoolExecutor
 
@@ -568,7 +576,15 @@ class _TupleSource:
                     for w in weights:
                         yield w, (centers, complete)
             return
+        if relevant is not None:
+            graph, rows = self.instance.graph(), self.instance.values
+            balls = {v: ball(graph, v, self.spec.beta) for v in graph.vertices}
         for centers in center_tuples(self.instance, self.spec.alpha):
+            if relevant is not None:
+                reach = [frozenset().union(*(balls[c] for c in cs)) for cs in centers]
+                ub = tuple(sum(row[v] for v in r) for row in rows for r in reach)
+                if not relevant(ub):
+                    continue
             table = _sweep(self.instance, self.spec.beta, centers, complete, self.td)
             if table is None:
                 continue
@@ -595,7 +611,7 @@ def mms_tw_all(
     """Maximin share of every agent, from one pass over the annotated instances."""
     _check_input(instance, spec, max_tuples)
     source = _TupleSource(instance, spec, td, 1)
-    return goal_layer.maximin(instance, source.candidates(False))[1]
+    return goal_layer.maximin(instance, partial(source.candidates, False))[1]
 
 
 def mms_tw(
@@ -671,7 +687,7 @@ def solve_tw_goals(
     open_goals = set(goals) - {FairnessGoal.EF_COMPLETE}
     shared = list(source.candidates(False)) if open_goals else []
 
-    def candidates(complete):
+    def candidates(complete, _relevant):  # every tuple is swept
         return source.candidates(True) if complete else shared
 
     return {

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from compactfd import enum_solver, oracle, tw_dp
+from compactfd import cli, enum_solver, oracle, tw_dp
 from compactfd.annotate import count_center_tuples
 from compactfd.cli import main
 from compactfd.oracle import mms_oracle
@@ -115,10 +115,33 @@ def test_mms_solve_takes_shares_from_its_own_pass(method, tmp_path, capsys, monk
         "oracle": {"mms_all": 1},
         # the enum goal layer reads one enumeration pass
         "enum": {"enumerate_compact_allocations": 1},
-        # one sweep per center tuple, plus the witness re-run
-        "tw-dp": {"run_dp": count_center_tuples(inst.m, 1, inst.n) + 1},
+        # one sweep per center tuple whose ball bound can raise or meet the
+        # shares (21 of 31), plus the witness re-run
+        "tw-dp": {"run_dp": 22},
     }
     assert dict(calls) == expected[method]
+    if method == "tw-dp":
+        assert calls["run_dp"] < count_center_tuples(inst.m, 1, inst.n) + 1
+
+
+def test_main_builds_one_parser_and_leaks_no_flags(partition_instance, capsys, monkeypatch):
+    path, _ = partition_instance
+    specs = []
+
+    def recorded(method, instance, spec, goal, args, _fn=cli._solve_with):
+        specs.append((method, spec.strong, goal.value))
+        return _fn(method, instance, spec, goal, args)
+
+    monkeypatch.setattr(cli, "_solve_with", recorded)
+    cli.build_parser.cache_clear()
+    base = ["solve", str(path), "--alpha", "1", "--beta", "1"]
+    assert main(base + ["--goal", "mms", "--strong", "--method", "enum"]) == 0
+    assert main(base + ["--goal", "prop"]) == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert specs == [("enum", True, "mms"), ("oracle", False, "prop")]
+    first, second = (json.loads(line) for line in capsys.readouterr().out.splitlines())
+    assert "mms" in first and "mms" not in second
 
 
 def test_solve_with_external_td(tmp_path, capsys):

@@ -14,8 +14,9 @@ from compactfd import (
     solve_oracle,
     solve_tw,
 )
-from compactfd.annotate import build_annotated, center_tuples
-from compactfd.compactness import induced_subgraph, is_annotated
+from compactfd import tw_dp
+from compactfd.annotate import build_annotated, center_tuples, count_center_tuples
+from compactfd.compactness import ball, induced_subgraph, is_annotated
 from compactfd.model import FairnessGoal, bundle_value, is_proportional
 from compactfd.treewidth import TreeDecomposition, nicefy
 from compactfd.tw_dp import _nice_for, _sort_blocks, acyclic_join, solve_tw_goals
@@ -195,6 +196,74 @@ def test_mms_tw_matches_oracle():
         spec = CompactnessSpec(rng.choice([1, 2]), rng.choice([0, 1]))
         for i in range(inst.n):
             assert mms_tw(inst, spec, i) == mms_oracle(inst, spec, i)
+
+
+def _small_cases(seed: int, count: int) -> list:
+    """Seeded (instance, spec) pairs: m 3..7, n 2..3, alpha 1..2, beta 0..2,
+    redrawn until the instance has at most 150 center tuples."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        m, n, alpha = rng.randint(3, 7), rng.randint(2, 3), rng.choice([1, 2])
+        if count_center_tuples(m, alpha, n) > 150:
+            continue
+        shape = rng.choice(["path", "cycle", "star", "random", "edgeless"])
+        inst = random_instance(rng, m, n, vmax=rng.choice([3, 6, 12]), shape=shape)
+        cases.append((inst, CompactnessSpec(alpha, rng.choice([0, 1, 2]))))
+    return cases
+
+
+def test_ball_bound_dominates_every_root_matrix():
+    # bundle j of a tuple lies within beta of C_j, so agent p's value for it
+    # is at most her value for the union of those balls
+    for inst, spec in _small_cases(94, 10):
+        graph, n = inst.graph(), inst.n
+        for centers in center_tuples(inst, spec.alpha):
+            reach = [set().union(*(ball(graph, c, spec.beta) for c in cs)) for cs in centers]
+            ub = [sum(inst.values[p][v] for v in reach[j]) for p in range(n) for j in range(n)]
+            ann = build_annotated(inst, centers, spec.beta)
+            for w in run_dp(ann, _nice_for(ann, None)).root_weights():
+                assert all(a <= b for a, b in zip(w, ub)), (inst.values, centers, w, ub)
+
+
+def test_tuple_skip_changes_no_answer(monkeypatch):
+    sweep, dp = tw_dp._TupleSource.candidates, tw_dp.run_dp
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls[-1] += 1
+        return dp(*args, **kwargs)
+
+    def sweep_all(self, complete, relevant=None):
+        return sweep(self, complete, None if relevant is None else (lambda ub: True))
+
+    def answer(inst, spec, goal, skip):
+        calls.append(0)
+        with monkeypatch.context() as mp:
+            mp.setattr(tw_dp, "run_dp", counted)
+            if not skip:
+                mp.setattr(tw_dp._TupleSource, "candidates", sweep_all)
+            return tw_dp.answer_tw(inst, spec, goal), calls[-1]
+
+    total_with = total_without = 0
+    goals = [FairnessGoal.PROPORTIONAL, FairnessGoal.MAX_WELFARE, FairnessGoal.MAXIMIN]
+    # on the path agent 0's share comes from a tuple whose bound does not meet
+    # agent 1's running share: it matters only because it raises a share; on
+    # the star a bound with rows and columns swapped skips a tuple that sets one
+    fixed = [
+        (Instance(5, [(0, 1), (1, 2), (2, 3), (3, 4)], [[3, 6, 4, 4, 3], [10, 4, 6, 0, 12]]),
+         CompactnessSpec(1, 0)),
+        (Instance(5, [(0, 1), (0, 2), (0, 3), (0, 4)], [[6, 4, 4, 3, 0], [1, 1, 2, 2, 4]]),
+         CompactnessSpec(2, 0)),
+    ]
+    for inst, spec in fixed + _small_cases(92, 12):
+        for goal in goals:
+            got, with_skip = answer(inst, spec, goal, True)
+            want, without = answer(inst, spec, goal, False)
+            assert got == want, (goal, inst.values, inst.edges, spec)
+            assert with_skip <= without
+            total_with, total_without = total_with + with_skip, total_without + without
+    assert total_with < total_without
 
 
 def test_ef_po_routed_through_oracle():
