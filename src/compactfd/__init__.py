@@ -19,7 +19,6 @@ from .model import (
     CompactnessSpec,
     FairnessGoal,
     Instance,
-    dump_instance,
     instance_from_dict,
     instance_to_dict,
     is_complete,
@@ -42,12 +41,11 @@ from .matching import mms_10, solve_ef_one_item, solve_mms_10, solve_prop_10
 from .path_dp import (
     AgentTypeProfile,
     PathInstance,
-    derive_type_profile,
     solve_prop_path_agents,
     solve_prop_path_types,
 )
 from .enum_solver import enumerate_compact_allocations, solve_enum
-from .annotate import AnnotatedInstance, build_annotated_instances, lift_allocation
+from .annotate import AnnotatedInstance, lift_allocation
 from .treewidth import (
     NiceTreeDecomposition,
     TreeDecomposition,

@@ -17,7 +17,7 @@ from math import comb
 from typing import Iterator
 
 from .compactness import ball, induced_subgraph, is_annotated
-from .model import Allocation, CompactnessSpec, Instance
+from .model import Allocation, Instance
 
 
 @dataclass(frozen=True)
@@ -121,16 +121,6 @@ def build_annotated(
     ]
     annotated = Instance(k + n, edges, values)
     return AnnotatedInstance(instance, tuple(centers), kept, annotated, beta + 1)
-
-
-def build_annotated_instances(
-    instance: Instance, spec: CompactnessSpec
-) -> Iterator[AnnotatedInstance]:
-    """Stream one annotated instance per center tuple."""
-    if spec.strong:
-        raise ValueError("the annotated reduction covers the non-strong class only")
-    for centers in center_tuples(instance, spec.alpha):
-        yield build_annotated(instance, centers, spec.beta)
 
 
 def lift_allocation(ann: AnnotatedInstance, allocation: Allocation) -> Allocation:

@@ -11,6 +11,10 @@ The argument parser is built once per process (`build_parser` is memoised)
 and every `main` call parses into a fresh namespace.  Its subcommand
 handlers (`set_defaults(func=cmd_*)`) are therefore bound when it is first
 built; replacing a `cmd_*` function afterwards does not reach `main`.
+
+The `jobs` option of `solve` is a compatibility stub: `tw-dp` sweeps its
+center tuples serially, and any value but 1 exits 2.  It stays only because
+existing callers (the benchmark's request lines) still pass it as 1.
 """
 from __future__ import annotations
 
@@ -129,7 +133,7 @@ def _solve_with(method: str, instance: Instance, spec: CompactnessSpec,
                 td = parse_td(fh.read())
             if not validate_td(instance.graph(), td):
                 raise ValueError("the supplied decomposition is invalid for this graph")
-        return tw_dp.answer_tw(instance, spec, goal, td=td, jobs=getattr(args, "jobs", 1))
+        return tw_dp.answer_tw(instance, spec, goal, td=td)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -152,8 +156,8 @@ def cmd_recognize(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    if args.jobs != 1:
+        raise ValueError(f"--jobs must be 1, got {args.jobs}")
     instance = load_instance(args.instance)
     spec = _spec_from(args)
     goal = GOALS[args.goal]
@@ -289,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
     )
     p.add_argument("--td", help="external tree decomposition (.td file) for tw-dp")
-    p.add_argument("--jobs", type=int, default=1, help="parallel annotated instances (tw-dp)")
+    p.add_argument("--jobs", type=int, default=1, help="kept for compatibility; must be 1")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("mms", help="maximin share of one agent")

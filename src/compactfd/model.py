@@ -259,7 +259,3 @@ def instance_from_dict(data: dict) -> Instance:
 def load_instance(path: str) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
         return instance_from_dict(json.load(fh))
-
-
-def dump_instance(instance: Instance) -> str:
-    return json.dumps(instance_to_dict(instance), indent=2)

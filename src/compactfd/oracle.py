@@ -33,15 +33,13 @@ class BudgetExceededError(RuntimeError):
 class OracleBudget:
     """Cap on the (n+1)^m enumeration.
 
-    With abort_on_exceed set, oversized instances raise BudgetExceededError;
-    otherwise the caller accepts the cost and the pass runs anyway.  The
-    default keeps the oracle to roughly m <= 8 with n <= 3 (4^8 = 65536
-    assignments); the Pareto check re-enumerates, so it costs (n+1)^(2m)
-    in the worst case.
+    An instance with more than `max_allocations` assignments raises
+    BudgetExceededError before any pass runs.  The default keeps the oracle
+    to roughly m <= 8 with n <= 3 (4^8 = 65536 assignments); the Pareto
+    check re-enumerates, so it costs (n+1)^(2m) in the worst case.
     """
 
     max_allocations: int = 500_000
-    abort_on_exceed: bool = True
 
     def __post_init__(self):
         if self.max_allocations < 1:
@@ -57,7 +55,7 @@ def assignment_count(instance: Instance) -> int:
 
 def _check_budget(instance: Instance, budget: Optional[OracleBudget]) -> None:
     budget = budget or DEFAULT_BUDGET
-    if budget.abort_on_exceed and assignment_count(instance) > budget.max_allocations:
+    if assignment_count(instance) > budget.max_allocations:
         raise BudgetExceededError(
             f"(n+1)^m = {assignment_count(instance)} exceeds budget {budget.max_allocations}"
         )

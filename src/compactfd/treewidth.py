@@ -238,19 +238,6 @@ class NiceTreeDecomposition:
     def width(self) -> int:
         return max((len(nd.bag) for nd in self.nodes), default=0) - 1
 
-    def subtree_graph(self, node_id: int) -> tuple[set[int], set[tuple[int, int]]]:
-        """Vertices and edges introduced in the subtree (anchors included)."""
-        verts: set[int] = set()
-        edges: set[tuple[int, int]] = set()
-        stack = [node_id]
-        while stack:
-            nd = self.nodes[stack.pop()]
-            verts |= nd.bag
-            if nd.kind is NodeKind.INTRODUCE_EDGE:
-                edges.add(nd.edge)
-            stack.extend(nd.children)
-        return verts, edges
-
 
 def nicefy(td: TreeDecomposition, graph: Graph, anchors: Iterable[int] = ()) -> NiceTreeDecomposition:
     """Nicefication with anchors pinned into every bag.

@@ -17,7 +17,7 @@ hubs, which are zero-valued and never forgotten, so at the root w is the
 value matrix of the whole bundles.  The drivers hand those matrices, tuple
 by tuple, to the goal layer (`goals`), which answers every fairness goal
 from them; a tuple whose ball bound the goal layer rules out is never
-annotated (`_TupleSource`).
+annotated (`_TupleSource`).  The tuples are swept serially, one at a time.
 
 A label is a depth in the witness tree, which is at least the distance
 inside the bundle and so at least the graph distance from the hub.  Vertex z
@@ -56,8 +56,6 @@ from .model import (
     CompactnessSpec,
     FairnessGoal,
     Instance,
-    instance_from_dict,
-    instance_to_dict,
     total_value,
 )
 from . import goals as goal_layer
@@ -519,14 +517,6 @@ def _sweep(instance: Instance, beta: int, centers: tuple, complete: bool,
     return run_dp(ann, _nice_for(ann, td), complete=complete)
 
 
-def _tau_worker(payload) -> list[tuple[int, ...]]:
-    """Root weight matrices for one center tuple (multiprocessing entry)."""
-    data, beta, centers, complete, td = payload
-    centers = tuple(frozenset(c) for c in centers)
-    table = _sweep(instance_from_dict(data), beta, centers, complete, td)
-    return [] if table is None else sorted(table.root_weights())
-
-
 def _witness(
     instance: Instance,
     spec: CompactnessSpec,
@@ -541,41 +531,28 @@ def _witness(
 
 class _TupleSource:
     """Candidates for the goal layer: the root matrices of the annotated
-    instances, tuple by tuple and sorted within a tuple, keyed by
-    (centers, complete).  Under a complete goal, tuples whose pruning drops
-    a vertex are skipped (a dropped vertex can never be allocated).
+    instances, swept one tuple at a time in `center_tuples` order and sorted
+    within a tuple, keyed by (centers, complete).  Every `tw-dp` answer goes
+    through this one serial sweep, so a first-hit goal stops at its hit.
+    Under a complete goal, tuples whose pruning drops a vertex are skipped
+    (a dropped vertex can never be allocated).
 
     Given a `relevant` predicate (see `goals`), a tuple is also skipped, before
     it is annotated, when its ball bound fails it: bundle j only holds
     vertices within beta of C_j, so no root matrix exceeds
     ub[p * n + j] = agent p's value for the union of the balls around C_j.
-    A pooled sweep (jobs > 1) sweeps every tuple.
 
     The witness for the tuple being read comes off its live table; any other
-    key, and any key of a pooled sweep (jobs > 1), re-runs its tuple's DP
-    (`_witness`).  A tuple's tables are dropped once its matrices are read,
-    so a full pass (mms) holds one tuple's tables at a time.
+    key re-runs its tuple's DP (`_witness`).  A tuple's tables are dropped
+    once its matrices are read, so a full pass (mms) holds one tuple's tables
+    at a time.
     """
 
-    def __init__(self, instance, spec, td, jobs):
-        self.instance, self.spec, self.td, self.jobs = instance, spec, td, jobs
+    def __init__(self, instance, spec, td):
+        self.instance, self.spec, self.td = instance, spec, td
         self._live = None  # (key, table) of the tuple being read
 
     def candidates(self, complete: bool, relevant: goal_layer.Relevance = None):
-        if self.jobs > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            tuples = list(center_tuples(self.instance, self.spec.alpha))
-            data = instance_to_dict(self.instance)
-            payloads = [
-                (data, self.spec.beta, [sorted(c) for c in centers], complete, self.td)
-                for centers in tuples
-            ]
-            with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                for centers, weights in zip(tuples, pool.map(_tau_worker, payloads)):
-                    for w in weights:
-                        yield w, (centers, complete)
-            return
         if relevant is not None:
             graph, rows = self.instance.graph(), self.instance.values
             balls = {v: ball(graph, v, self.spec.beta) for v in graph.vertices}
@@ -610,7 +587,7 @@ def mms_tw_all(
 ) -> list[int]:
     """Maximin share of every agent, from one pass over the annotated instances."""
     _check_input(instance, spec, max_tuples)
-    source = _TupleSource(instance, spec, td, 1)
+    source = _TupleSource(instance, spec, td)
     return goal_layer.maximin(instance, partial(source.candidates, False))[1]
 
 
@@ -634,7 +611,6 @@ def answer_tw(
     goal: FairnessGoal,
     td: Optional[TreeDecomposition] = None,
     max_tuples: Optional[int] = None,
-    jobs: int = 1,
 ) -> tuple[Optional[Allocation], Optional[list[int]]]:
     """Annotated-reduction driver: the allocation the goal layer finds in the
     root slices of the per-tuple DPs (None if there is none), and for mms
@@ -649,7 +625,7 @@ def answer_tw(
 
         return solve_oracle(instance, spec, goal), None
     _check_input(instance, spec, max_tuples)
-    source = _TupleSource(instance, spec, td, jobs)
+    source = _TupleSource(instance, spec, td)
     return goal_layer.solve(instance, goal, source.candidates, source.witness)
 
 
@@ -659,10 +635,9 @@ def solve_tw(
     goal: FairnessGoal,
     td: Optional[TreeDecomposition] = None,
     max_tuples: Optional[int] = None,
-    jobs: int = 1,
 ) -> Optional[Allocation]:
     """The allocation `answer_tw` finds for the goal, or None."""
-    return answer_tw(instance, spec, goal, td, max_tuples, jobs)[0]
+    return answer_tw(instance, spec, goal, td, max_tuples)[0]
 
 
 def solve_tw_goals(
@@ -683,7 +658,7 @@ def solve_tw_goals(
     if FairnessGoal.EF_PARETO in goals:
         raise ValueError("ef-po is answered by the oracle, not the DP")
     _check_input(instance, spec, max_tuples)
-    source = _TupleSource(instance, spec, td, 1)
+    source = _TupleSource(instance, spec, td)
     open_goals = set(goals) - {FairnessGoal.EF_COMPLETE}
     shared = list(source.candidates(False)) if open_goals else []
 

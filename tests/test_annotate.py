@@ -7,7 +7,6 @@ from compactfd import (
     Allocation,
     CompactnessSpec,
     Instance,
-    build_annotated_instances,
     is_compact,
     is_compact_allocation,
     lift_allocation,
@@ -21,7 +20,7 @@ from conftest import random_instance
 
 def test_tuple_count_alpha1_single_agent():
     inst = Instance(4, [], [[1, 1, 1, 1]])
-    anns = list(build_annotated_instances(inst, CompactnessSpec(1, 0)))
+    anns = [build_annotated(inst, centers, 0) for centers in center_tuples(inst, 1)]
     assert len(anns) == 5  # four singletons plus the empty center set
 
 
@@ -140,9 +139,3 @@ def test_round_trip_compact_allocation():
         )
         lifted = lift_allocation(ann, hubbed)  # raises if not annotated-valid
         assert lifted.bundles == alloc.bundles
-
-
-def test_strong_spec_rejected():
-    inst = Instance(2, [], [[1, 1]])
-    with pytest.raises(ValueError):
-        list(build_annotated_instances(inst, CompactnessSpec(1, 1, strong=True)))

@@ -161,7 +161,7 @@ def test_solve_with_external_td(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["answer"] == "yes"
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("jobs", ["0", "-3", "2"])
 def test_solve_rejects_jobs_below_one(jobs, tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"m": 2, "edges": [[0, 1]], "agents": [{"values": [1, 1]}]}))
@@ -174,7 +174,24 @@ def test_solve_rejects_jobs_below_one(jobs, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error:")
 
 
-def test_pooled_solve_uses_the_external_td(tmp_path, capsys, monkeypatch):
+def test_solve_accepts_jobs_one_as_a_no_op(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({
+        "m": 4,
+        "edges": [[0, 1], [1, 2], [2, 3]],
+        "agents": [{"values": [2, 1, 1, 2]}, {"values": [1, 2, 2, 1]}],
+    }))
+    argv = ["solve", str(path), "--alpha", "1", "--beta", "1", "--method", "tw-dp",
+            "--goal", "mms"]
+    runs = []
+    for extra in ([], ["--jobs", "1"]):
+        rc = main(argv + extra)
+        runs.append((rc, capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and json.loads(runs[0][1])["answer"] == "yes"
+
+
+def test_solve_uses_the_external_td(tmp_path, capsys, monkeypatch):
     data = {
         "m": 5,
         "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [1, 3]],
@@ -189,16 +206,15 @@ def test_pooled_solve_uses_the_external_td(tmp_path, capsys, monkeypatch):
     def no_decomposing(graph):
         raise RuntimeError("decomposed although a --td file was given")
 
-    # forked workers inherit the patch, so a worker that ignores --td fails
+    # a sweep or witness that ignores --td decomposes and fails; the mms
+    # witness re-runs its tuple (_witness), prop and ef-complete read theirs
+    # off the live table
     monkeypatch.setattr(tw_dp, "greedy_decompose", no_decomposing)
-    outputs = []
-    for jobs in ("1", "2"):
-        rc = main(["solve", str(path), "--goal", "mms", "--alpha", "1", "--beta", "1",
-                   "--method", "tw-dp", "--td", str(td), "--jobs", jobs])
+    for goal in ("mms", "prop", "ef-complete"):
+        rc = main(["solve", str(path), "--goal", goal, "--alpha", "1", "--beta", "1",
+                   "--method", "tw-dp", "--td", str(td)])
         assert rc == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
-    assert json.loads(outputs[0])["answer"] == "yes"
+        assert json.loads(capsys.readouterr().out)["answer"] == "yes"
 
 
 def test_auto_dispatch(tmp_path, capsys):

@@ -7,7 +7,6 @@ from compactfd import (
     Allocation,
     CompactnessSpec,
     Instance,
-    dump_instance,
     instance_from_dict,
     instance_to_dict,
     is_complete,
@@ -101,7 +100,7 @@ def test_spec_validation():
 
 def test_json_round_trip():
     inst = Instance(3, [(0, 1), (1, 2)], [[1, 2, 3], [3, 2, 1]], agent_names=["a", "b"])
-    data = json.loads(dump_instance(inst))
+    data = json.loads(json.dumps(instance_to_dict(inst)))
     back = instance_from_dict(data)
     assert back.m == inst.m and back.edges == inst.edges and back.values == inst.values
     assert back.agent_names == ("a", "b")

@@ -104,16 +104,6 @@ def test_nicefy_every_edge_once():
         assert len(set(seen)) == len(seen)
 
 
-def test_subtree_graph_at_root_is_whole_graph():
-    rng = random.Random(64)
-    for _ in range(15):
-        g = random_graph(rng, rng.randint(1, 8), 0.4)
-        nice = nicefy(greedy_decompose(g), g)
-        verts, edges = nice.subtree_graph(nice.root)
-        assert verts == set(g.vertices)
-        assert edges == set(g.edges)
-
-
 def test_nicefy_rejects_invalid_input():
     g = Graph(range(3), [(0, 1), (1, 2)])
     bad = TreeDecomposition((frozenset({0, 1}),), ())

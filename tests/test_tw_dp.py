@@ -288,16 +288,6 @@ def test_tuple_budget():
         solve_tw(inst, CompactnessSpec(2, 1), FairnessGoal.PROPORTIONAL, max_tuples=5)
 
 
-def test_parallel_jobs_same_answer():
-    inst = Instance(4, [(0, 1), (1, 2), (2, 3)], [[2, 1, 1, 2], [1, 2, 2, 1]])
-    spec = CompactnessSpec(1, 1)
-    seq = solve_tw(inst, spec, FairnessGoal.PROPORTIONAL, jobs=1)
-    par = solve_tw(inst, spec, FairnessGoal.PROPORTIONAL, jobs=2)
-    assert (seq is None) == (par is None)
-    if seq is not None:
-        assert is_proportional(inst, par)
-
-
 def test_external_td_used():
     inst = Instance(4, [(0, 1), (1, 2), (2, 3)], [[1, 1, 1, 1], [1, 1, 1, 1]])
     td = TreeDecomposition(
