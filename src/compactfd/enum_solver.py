@@ -78,12 +78,10 @@ def enumerate_compact_allocations(
     yield from rec(0, 0, list(range(len(bundles))))
 
 
-def _matrices(instance: Instance, spec: CompactnessSpec, budget: int, complete: bool,
-              relevant: goals.Relevance = None):
+def _matrices(instance: Instance, spec: CompactnessSpec, budget: int, complete: bool):
     """Candidates for the goal layer: each enumerated compact allocation (only
     complete ones if `complete`) with its value matrix, keyed by itself.
-    Each bundle's value column is computed once per pass.  `relevant` is
-    ignored: no bound here is cheaper than the matrices themselves."""
+    Each bundle's value column is computed once per pass."""
     rows, m = instance.values, instance.m
     columns: dict[frozenset[int], tuple[int, ...]] = {}
     for alloc in enumerate_compact_allocations(instance, spec, budget):
@@ -99,6 +97,12 @@ def _matrices(instance: Instance, spec: CompactnessSpec, budget: int, complete: 
         yield sum(zip(*per_bundle), ()), alloc
 
 
+def _groups(instance: Instance, spec: CompactnessSpec, budget: int, complete: bool):
+    """The enumeration as a single group without a bound: no bound here is
+    cheaper than the matrices themselves."""
+    return goals.one_group(partial(_matrices, instance, spec, budget, complete))
+
+
 def answer_enum(
     instance: Instance,
     spec: CompactnessSpec,
@@ -110,7 +114,7 @@ def answer_enum(
     for other goals).  ef-po uses the exhaustive utility-vector dominance
     check, so it is only sensible at oracle scale."""
     return goals.solve(
-        instance, goal, partial(_matrices, instance, spec, budget), lambda alloc, _w: alloc
+        instance, goal, partial(_groups, instance, spec, budget), lambda alloc, _w: alloc
     )
 
 
@@ -128,4 +132,4 @@ def mms_enum(
     instance: Instance, spec: CompactnessSpec, budget: int = DEFAULT_WORK_BUDGET
 ) -> list[int]:
     """Maximin share per agent, computed from a full enumeration pass."""
-    return goals.maximin(instance, partial(_matrices, instance, spec, budget, False))[1]
+    return goals.maximin(instance, _groups(instance, spec, budget, False))

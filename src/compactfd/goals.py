@@ -1,34 +1,42 @@
-"""The goal layer: every fairness goal answered from one stream of candidates.
+"""The goal layer: every fairness goal answered from groups of candidates.
 
-An exact solver lists its compact allocations as `candidates(complete,
-relevant)`, which yields `(w, key)` in the solver's own order: w is the flat
-row-major n x n value matrix (w[i * n + j] is agent i's value for bundle j)
-and `witness(key, w)` rebuilds the allocation.  With `complete` set, only
-allocations that allocate every item are listed; every other goal is a
-question about w alone (ef-po compares the diagonal with all utility
-vectors, as Pareto-optimality quantifies over all allocations).
+An exact solver lists its compact allocations as `groups(complete)`, an
+iterable of groups `(ub, matrices)` in the solver's canonical order.
+`matrices()` opens a group: it yields `(w, key)` in the group's own order,
+where w is the flat row-major n x n value matrix (w[i * n + j] is agent i's
+value for bundle j) and `witness(key, w)` rebuilds the allocation.  `ub()` is
+a matrix with w <= ub componentwise for every w of the group, or None when
+the group has no bound; the layer calls it only for goals that use it, so a
+source may compute it lazily.  With `complete` set, only allocations that
+allocate every item are listed; every other goal is a question about w alone
+(ef-po compares the diagonal with all utility vectors, as Pareto-optimality
+quantifies over all allocations).
 
-`relevant` (None: list everything) lets a source skip a group of
-candidates it can bound from above: given a matrix `ub` with w <= ub
-componentwise for every w of the group, the source may drop the group when
-`relevant(ub)` is false.  The skip is exact because welfare and meeting
-the mms shares are upward closed (if w is accepted, so is every matrix
-above it): a group whose bound is not accepted holds no accepted matrix.
-For mms the predicate reads the running shares, which only grow; a dropped
-group could neither raise a share (its row minima are at most the bound's)
-nor meet the shares then or later.  So the shares, the first accepted
-candidate and its key are those of the full stream.  ef-complete and ef-po
-are not upward closed and pass None.  prop is upward closed too, and
-`accepts` would serve as its test, but it still passes None (ROADMAP
-item 4).
+The answer is the first accepted candidate of the stream that opens every
+group in canonical order.  Welfare and meeting the mms shares are upward
+closed (if w is accepted, so is every matrix above it), so a group whose
+bound is not accepted holds no accepted matrix and is never opened.  Welfare
+walks the groups in order and skips those.  prop is upward closed too but
+does not read the bound yet (ROADMAP item 4); ef-complete and ef-po are not
+upward closed.
 
-mms takes one pass (`maximin`), and its answer is the allocation a second
-pass over the stream would find.  The oracle keeps its own loops, as the
-reference the solvers are tested against.
+mms takes two phases, best bound first (Land and Doig, Econometrica 28(3),
+1960).  Phase 1 (`maximin`) finds the shares.  It opens the groups in
+descending order of the sum of their bound's row minima, ties by canonical
+rank, and skips every group that cannot raise a running share (no row
+minimum of its bound above that share).  Shares only grow, so a skipped
+group could not raise one later either, and the shares are those of the
+full stream.  For every matrix that meets the running shares it keeps the
+smallest (rank, position) it was seen at; a matrix that falls below them is
+dropped for good.  Phase 2 finds the answer.  An accepted matrix that comes
+before the best kept one can only sit in an unopened group of lower rank
+whose bound meets the shares; those groups are opened in canonical order,
+and the first accepted matrix there is the answer.  Without one, the answer
+is the best kept matrix.  The oracle keeps its own loops, as the reference
+the solvers are tested against.
 """
 from __future__ import annotations
 
-from functools import partial
 from typing import Callable, Hashable, Iterable, Optional
 
 from .model import Allocation, FairnessGoal, Instance, max_welfare_upper, total_value
@@ -36,7 +44,12 @@ from .oracle import _dominated, distinct_utility_vectors
 
 Matrix = tuple[int, ...]
 Candidates = Iterable[tuple[Matrix, Hashable]]
-Relevance = Optional[Callable[[Matrix], bool]]
+Group = tuple[Callable[[], Optional[Matrix]], Callable[[], Candidates]]
+
+
+def one_group(matrices: Callable[[], Candidates]) -> list[Group]:
+    """A whole stream as a single group without a bound."""
+    return [(lambda: None, matrices)]
 
 
 def _envy_free(w: Matrix, n: int) -> bool:
@@ -67,52 +80,88 @@ def accepts(
     raise ValueError(f"unknown goal {goal!r}")
 
 
-def maximin(
-    instance: Instance, candidates: Callable[[Relevance], Candidates]
-) -> tuple[list, list[int]]:
-    """One pass: every agent's maximin share (her best worst-bundle value),
-    and, in stream order, the first occurrence of each distinct matrix that
-    meets all shares.  Shares only grow, so a matrix that falls below them
-    is dropped for good; that keeps the held candidates few."""
+def _shares_pass(instance: Instance, groups: list[Group]):
+    """Phase 1: the shares, every group's bound, the ranks of the groups
+    opened, and the best kept candidate as (rank, position, w, key), or None
+    when no candidate seen meets the shares."""
     n = instance.n
     shares = [0] * n
     meets = accepts(instance, FairnessGoal.MAXIMIN, shares)  # reads the running shares
+    bounds = [ub() for ub, _ in groups]
+    floors = [  # per group: the row minima of its bound, which cap its row minima
+        None if ub is None else [min(ub[i * n : (i + 1) * n]) for i in range(n)]
+        for ub in bounds
+    ]
+    order = sorted(  # groups without a bound first, then best bound first
+        range(len(groups)),
+        key=lambda r: (floors[r] is not None, -sum(floors[r] or ()), r),
+    )
+    kept: dict[Matrix, tuple] = {}  # w -> (rank, position, w, key), the smallest seen
+    opened = set()
+    for rank in order:
+        floor = floors[rank]
+        if floor is not None and all(f <= s for f, s in zip(floor, shares)):
+            continue  # cannot raise a share, now or later
+        opened.add(rank)
+        for pos, (w, key) in enumerate(groups[rank][1]()):
+            raised = False
+            for i in range(n):
+                worst = min(w[i * n : (i + 1) * n])
+                if worst > shares[i]:
+                    shares[i] = worst
+                    raised = True
+            if raised:
+                kept = {v: k for v, k in kept.items() if meets(v)}
+            if meets(w) and (w not in kept or (rank, pos) < kept[w][:2]):
+                kept[w] = (rank, pos, w, key)
+    best = min(kept.values(), key=lambda b: b[:2], default=None)
+    return shares, bounds, opened, best
 
-    def relevant(ub: Matrix) -> bool:  # can a group below ub raise or meet the shares?
-        return meets(ub) or any(min(ub[i * n : (i + 1) * n]) > shares[i] for i in range(n))
 
-    kept: dict[Matrix, Hashable] = {}
-    for w, key in candidates(relevant):
-        raised = False
-        for i in range(n):
-            worst = min(w[i * n : (i + 1) * n])
-            if worst > shares[i]:
-                shares[i] = worst
-                raised = True
-        if raised:
-            kept = {v: k for v, k in kept.items() if meets(v)}
-        if w not in kept and meets(w):
-            kept[w] = key
-    return list(kept.items()), shares
+def maximin(instance: Instance, groups: Iterable[Group]) -> list[int]:
+    """Every agent's maximin share (the best worst-bundle value the agent can
+    get): phase 1 alone."""
+    return _shares_pass(instance, list(groups))[0]
+
+
+def _solve_mms(
+    instance: Instance, groups: list[Group], witness: Callable[[Hashable, Matrix], Allocation]
+) -> tuple[Optional[Allocation], list[int]]:
+    shares, bounds, opened, best = _shares_pass(instance, groups)
+    accept = accepts(instance, FairnessGoal.MAXIMIN, shares)
+    # phase 2: unopened groups ranked before the best kept candidate (every
+    # group without a bound was opened in phase 1)
+    for rank in range(len(groups) if best is None else best[0]):
+        if rank in opened or not accept(bounds[rank]):
+            continue
+        for w, key in groups[rank][1]():
+            if accept(w):
+                return witness(key, w), shares
+    if best is None:
+        return None, shares
+    _rank, _pos, w, key = best
+    return witness(key, w), shares
 
 
 def solve(
     instance: Instance,
     goal: FairnessGoal,
-    candidates: Callable[[bool, Relevance], Candidates],
+    groups: Callable[[bool], Iterable[Group]],
     witness: Callable[[Hashable, Matrix], Allocation],
 ) -> tuple[Optional[Allocation], Optional[list[int]]]:
     """The first candidate allocation meeting the goal (None if there is
     none), and for mms every agent's maximin share from the same pass (None
     for other goals)."""
-    complete = goal is FairnessGoal.EF_COMPLETE
     if goal is FairnessGoal.MAXIMIN:
-        stream, shares = maximin(instance, partial(candidates, complete))
-        accept = accepts(instance, goal, shares)
-    else:
-        shares, accept = None, accepts(instance, goal)
-        stream = candidates(complete, accept if goal is FairnessGoal.MAX_WELFARE else None)
-    for w, key in stream:
-        if accept(w):
-            return witness(key, w), shares
-    return None, shares
+        return _solve_mms(instance, list(groups(False)), witness)
+    accept = accepts(instance, goal)
+    bounded = goal is FairnessGoal.MAX_WELFARE
+    for ub, matrices in groups(goal is FairnessGoal.EF_COMPLETE):
+        if bounded:
+            bound = ub()
+            if bound is not None and not accept(bound):
+                continue
+        for w, key in matrices():
+            if accept(w):
+                return witness(key, w), None
+    return None, None

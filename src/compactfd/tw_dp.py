@@ -14,10 +14,11 @@ A vertex's values enter w once, when it is forgotten, in its owner's column.
 Bag vertices are not yet counted, so the two sides of a join never both
 count a vertex and a join simply adds their w.  The root bag holds only the
 hubs, which are zero-valued and never forgotten, so at the root w is the
-value matrix of the whole bundles.  The drivers hand those matrices, tuple
-by tuple, to the goal layer (`goals`), which answers every fairness goal
-from them; a tuple whose ball bound the goal layer rules out is never
-annotated (`_TupleSource`).  The tuples are swept serially, one at a time.
+value matrix of the whole bundles.  The drivers hand the goal layer
+(`goals`) those matrices as one group per center tuple, with the tuple's
+ball bound; the goal layer opens the groups in the order its goal needs, and
+a tuple it never opens is never annotated (`_TupleSource`).  The tuples are
+swept serially, one at a time.
 
 A label is a depth in the witness tree, which is at least the distance
 inside the bundle and so at least the graph distance from the hub.  Vertex z
@@ -530,19 +531,20 @@ def _witness(
 
 
 class _TupleSource:
-    """Candidates for the goal layer: the root matrices of the annotated
-    instances, swept one tuple at a time in `center_tuples` order and sorted
-    within a tuple, keyed by (centers, complete).  Every `tw-dp` answer goes
-    through this one serial sweep, so a first-hit goal stops at its hit.
-    Under a complete goal, tuples whose pruning drops a vertex are skipped
-    (a dropped vertex can never be allocated).
+    """Candidates for the goal layer: one group per center tuple, in
+    `center_tuples` order (see `goals`).  Opening a group annotates its tuple
+    and runs the DP; its candidates are the sorted root matrices, keyed by
+    (centers, complete).  Under a complete goal a tuple whose pruning drops a
+    vertex opens empty, before any DP (a dropped vertex can never be
+    allocated).  Every `tw-dp` answer goes through this one serial sweep, so
+    a first-hit goal stops at its hit.
 
-    Given a `relevant` predicate (see `goals`), a tuple is also skipped, before
-    it is annotated, when its ball bound fails it: bundle j only holds
-    vertices within beta of C_j, so no root matrix exceeds
-    ub[p * n + j] = agent p's value for the union of the balls around C_j.
+    A group's bound is the tuple's ball bound: bundle j only holds vertices
+    within beta of C_j, so no root matrix exceeds ub[p * n + j] = agent p's
+    value for the union of the balls around C_j.  It is computed only when
+    the goal layer reads it, and every vertex's ball once per source.
 
-    The witness for the tuple being read comes off its live table; any other
+    The witness for the group being read comes off its live table; any other
     key re-runs its tuple's DP (`_witness`).  A tuple's tables are dropped
     once its matrices are read, so a full pass (mms) holds one tuple's tables
     at a time.
@@ -550,26 +552,29 @@ class _TupleSource:
 
     def __init__(self, instance, spec, td):
         self.instance, self.spec, self.td = instance, spec, td
+        self._balls = None  # vertex -> its beta-ball, on the first bound
         self._live = None  # (key, table) of the tuple being read
 
-    def candidates(self, complete: bool, relevant: goal_layer.Relevance = None):
-        if relevant is not None:
-            graph, rows = self.instance.graph(), self.instance.values
-            balls = {v: ball(graph, v, self.spec.beta) for v in graph.vertices}
+    def groups(self, complete: bool):
         for centers in center_tuples(self.instance, self.spec.alpha):
-            if relevant is not None:
-                reach = [frozenset().union(*(balls[c] for c in cs)) for cs in centers]
-                ub = tuple(sum(row[v] for v in r) for row in rows for r in reach)
-                if not relevant(ub):
-                    continue
-            table = _sweep(self.instance, self.spec.beta, centers, complete, self.td)
-            if table is None:
-                continue
-            key = (centers, complete)
-            self._live = (key, table)
-            for w in sorted(table.root_weights()):
-                yield w, key
-            self._live = None
+            yield partial(self._bound, centers), partial(self._matrices, centers, complete)
+
+    def _bound(self, centers) -> tuple[int, ...]:
+        if self._balls is None:
+            graph = self.instance.graph()
+            self._balls = {v: ball(graph, v, self.spec.beta) for v in graph.vertices}
+        reach = [frozenset().union(*(self._balls[c] for c in cs)) for cs in centers]
+        return tuple(sum(row[v] for v in r) for row in self.instance.values for r in reach)
+
+    def _matrices(self, centers, complete: bool):
+        table = _sweep(self.instance, self.spec.beta, centers, complete, self.td)
+        if table is None:
+            return
+        key = (centers, complete)
+        self._live = (key, table)
+        for w in sorted(table.root_weights()):
+            yield w, key
+        self._live = None
 
     def witness(self, key, w: tuple[int, ...]) -> Allocation:
         if self._live is not None and self._live[0] == key:
@@ -585,10 +590,10 @@ def mms_tw_all(
     td: Optional[TreeDecomposition] = None,
     max_tuples: Optional[int] = None,
 ) -> list[int]:
-    """Maximin share of every agent, from one pass over the annotated instances."""
+    """Maximin share of every agent: the goal layer's share pass (phase 1)
+    over the annotated instances."""
     _check_input(instance, spec, max_tuples)
-    source = _TupleSource(instance, spec, td)
-    return goal_layer.maximin(instance, partial(source.candidates, False))[1]
+    return goal_layer.maximin(instance, _TupleSource(instance, spec, td).groups(False))
 
 
 def mms_tw(
@@ -626,7 +631,7 @@ def answer_tw(
         return solve_oracle(instance, spec, goal), None
     _check_input(instance, spec, max_tuples)
     source = _TupleSource(instance, spec, td)
-    return goal_layer.solve(instance, goal, source.candidates, source.witness)
+    return goal_layer.solve(instance, goal, source.groups, source.witness)
 
 
 def solve_tw(
@@ -650,9 +655,9 @@ def solve_tw_goals(
     """Answer several goals from shared DP passes.
 
     All goals except ef-complete read the same unrestricted candidates, so
-    one sweep over the annotated instances serves them all; ef-complete gets
-    its own completeness-restricted sweep.  Witnesses of the shared sweep
-    re-run the single winning instance.
+    one sweep over the annotated instances serves them all, as a single
+    group without a bound; ef-complete gets its own completeness-restricted
+    sweep.  Witnesses of the shared sweep re-run the single winning instance.
     """
     goals = list(goals)
     if FairnessGoal.EF_PARETO in goals:
@@ -660,11 +665,11 @@ def solve_tw_goals(
     _check_input(instance, spec, max_tuples)
     source = _TupleSource(instance, spec, td)
     open_goals = set(goals) - {FairnessGoal.EF_COMPLETE}
-    shared = list(source.candidates(False)) if open_goals else []
+    shared = (
+        [c for _ub, matrices in source.groups(False) for c in matrices()] if open_goals else []
+    )
 
-    def candidates(complete, _relevant):  # every tuple is swept
-        return source.candidates(True) if complete else shared
+    def groups(complete):  # every tuple is swept
+        return source.groups(True) if complete else goal_layer.one_group(lambda: shared)
 
-    return {
-        goal: goal_layer.solve(instance, goal, candidates, source.witness)[0] for goal in goals
-    }
+    return {goal: goal_layer.solve(instance, goal, groups, source.witness)[0] for goal in goals}

@@ -96,6 +96,7 @@ def test_mms_solve_takes_shares_from_its_own_pass(method, tmp_path, capsys, monk
     calls = Counter()
     passes = [
         (tw_dp, "run_dp"),
+        (tw_dp, "_witness"),
         (oracle, "mms_all"),
         (enum_solver, "mms_enum"),
         (enum_solver, "enumerate_compact_allocations"),
@@ -115,9 +116,10 @@ def test_mms_solve_takes_shares_from_its_own_pass(method, tmp_path, capsys, monk
         "oracle": {"mms_all": 1},
         # the enum goal layer reads one enumeration pass
         "enum": {"enumerate_compact_allocations": 1},
-        # one sweep per center tuple whose ball bound can raise or meet the
-        # shares (21 of 31), plus the witness re-run
-        "tw-dp": {"run_dp": 22},
+        # best bound first: the shares open 6 of the 31 center tuples; then 3
+        # tuples ranked before the best kept matrix are swept for the answer,
+        # and the last yields it off its live table (no _witness re-run)
+        "tw-dp": {"run_dp": 9},
     }
     assert dict(calls) == expected[method]
     if method == "tw-dp":
@@ -206,15 +208,27 @@ def test_solve_uses_the_external_td(tmp_path, capsys, monkeypatch):
     def no_decomposing(graph):
         raise RuntimeError("decomposed although a --td file was given")
 
-    # a sweep or witness that ignores --td decomposes and fails; the mms
-    # witness re-runs its tuple (_witness), prop and ef-complete read theirs
-    # off the live table
+    # a sweep or witness that ignores --td decomposes and fails; on this
+    # instance every goal reads its witness off the live table, and the mms
+    # answer of the second instance (same graph) re-runs its tuple (_witness)
+    rerun = tmp_path / "rerun.json"
+    rerun.write_text(json.dumps(
+        {**data, "agents": [{"values": [2, 0, 0, 1, 3]}, {"values": [1, 2, 3, 2, 3]}]}
+    ))
+    witness_calls = []
+
+    def witness(*args, _fn=tw_dp._witness):
+        witness_calls.append(args)
+        return _fn(*args)
+
     monkeypatch.setattr(tw_dp, "greedy_decompose", no_decomposing)
-    for goal in ("mms", "prop", "ef-complete"):
-        rc = main(["solve", str(path), "--goal", goal, "--alpha", "1", "--beta", "1",
+    monkeypatch.setattr(tw_dp, "_witness", witness)
+    for inst_path, goal in ((path, "mms"), (path, "prop"), (path, "ef-complete"), (rerun, "mms")):
+        rc = main(["solve", str(inst_path), "--goal", goal, "--alpha", "1", "--beta", "1",
                    "--method", "tw-dp", "--td", str(td)])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["answer"] == "yes"
+    assert len(witness_calls) == 1
 
 
 def test_auto_dispatch(tmp_path, capsys):

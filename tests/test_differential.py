@@ -19,15 +19,15 @@ from compactfd.model import (
 )
 from compactfd.oracle import mms_all, solve_oracle
 from compactfd.path_dp import PathInstance, solve_prop_path_agents
-from compactfd.tw_dp import answer_tw
+from compactfd.tw_dp import answer_tw, mms_tw_all
 
 FIRST_HIT = (FairnessGoal.PROPORTIONAL, FairnessGoal.EF_COMPLETE, FairnessGoal.MAX_WELFARE)
 
 
 @st.composite
-def instances(draw, max_agents=2, path=False):
-    m = draw(st.integers(1, 5))
-    n = draw(st.integers(1, max_agents))
+def instances(draw, max_agents=2, path=False, min_agents=1, max_items=5):
+    m = draw(st.integers(1, max_items))
+    n = draw(st.integers(min_agents, max_agents))
     if path:
         edges = [(v, v + 1) for v in range(m - 1)]
     else:
@@ -39,9 +39,9 @@ def instances(draw, max_agents=2, path=False):
 
 
 @st.composite
-def cases(draw):
-    inst = draw(instances())
-    spec = CompactnessSpec(draw(st.integers(1, 2)), draw(st.integers(0, 2)))
+def cases(draw, max_beta=2, **shape):
+    inst = draw(instances(**shape))
+    spec = CompactnessSpec(draw(st.integers(1, 2)), draw(st.integers(0, max_beta)))
     return inst, spec
 
 
@@ -69,11 +69,25 @@ def test_enum_and_tw_dp_agree_with_the_oracle(case):
             assert shares is None
             assert (got is None) == (want is None), (solver.__name__, goal)
             assert got is None or meets(inst, spec, goal, got), (solver.__name__, goal)
+    check_mms(inst, spec)
+
+
+def check_mms(inst, spec):
     want = mms_all(inst, spec)
+    assert mms_tw_all(inst, spec) == want  # the share pass alone
+    found = solve_oracle(inst, spec, FairnessGoal.MAXIMIN) is not None
     for solver in (answer_enum, answer_tw):
         got, shares = solver(inst, spec, FairnessGoal.MAXIMIN)
         assert shares == want, solver.__name__
+        assert (got is not None) == found, solver.__name__
         assert got is None or meets(inst, spec, FairnessGoal.MAXIMIN, got, shares)
+
+
+# three agents multiply the DP states; m <= 4 and beta <= 1 keep this short
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(cases(max_beta=1, min_agents=3, max_agents=3, max_items=4))
+def test_three_agent_mms_agrees_with_the_oracle(case):
+    check_mms(*case)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)

@@ -227,23 +227,35 @@ def test_ball_bound_dominates_every_root_matrix():
 
 
 def test_tuple_skip_changes_no_answer(monkeypatch):
-    sweep, dp = tw_dp._TupleSource.candidates, tw_dp.run_dp
-    calls = []
+    groups, matrices = tw_dp._TupleSource.groups, tw_dp._TupleSource._matrices
+    calls, opened = [], []  # per answer: run_dp and _witness calls; tuples opened
 
-    def counted(*args, **kwargs):
-        calls[-1] += 1
-        return dp(*args, **kwargs)
+    def counted(fn, slot):
+        def wrapped(*args, **kwargs):
+            calls[-1][slot] += 1
+            return fn(*args, **kwargs)
+        return wrapped
 
-    def sweep_all(self, complete, relevant=None):
-        return sweep(self, complete, None if relevant is None else (lambda ub: True))
+    def open_all(self, complete):  # no bounds: every group opens, in canonical order
+        return [(lambda: None, group) for _ub, group in groups(self, complete)]
+
+    def logged(self, centers, complete):
+        seen = []
+        opened[-1].append((centers, seen))
+        for w, key in matrices(self, centers, complete):
+            seen.append(w)
+            yield w, key
 
     def answer(inst, spec, goal, skip):
-        calls.append(0)
+        calls.append([0, 0])
+        opened.append([])
         with monkeypatch.context() as mp:
-            mp.setattr(tw_dp, "run_dp", counted)
+            mp.setattr(tw_dp, "run_dp", counted(tw_dp.run_dp, 0))
+            mp.setattr(tw_dp, "_witness", counted(tw_dp._witness, 1))
+            mp.setattr(tw_dp._TupleSource, "_matrices", logged)
             if not skip:
-                mp.setattr(tw_dp._TupleSource, "candidates", sweep_all)
-            return tw_dp.answer_tw(inst, spec, goal), calls[-1]
+                mp.setattr(tw_dp._TupleSource, "groups", open_all)
+            return tw_dp.answer_tw(inst, spec, goal), *calls[-1]
 
     total_with = total_without = 0
     goals = [FairnessGoal.PROPORTIONAL, FairnessGoal.MAX_WELFARE, FairnessGoal.MAXIMIN]
@@ -256,14 +268,33 @@ def test_tuple_skip_changes_no_answer(monkeypatch):
         (Instance(5, [(0, 1), (0, 2), (0, 3), (0, 4)], [[6, 4, 4, 3, 0], [1, 1, 2, 2, 4]]),
          CompactnessSpec(2, 0)),
     ]
-    for inst, spec in fixed + _small_cases(92, 12):
+    # mms answers found in phase 2 (off the live table), in phase 1 (one
+    # _witness re-run), and from a matrix kept first from a later-rank tuple
+    # and then met again in an earlier one
+    in_phase_2 = (Instance(3, [(0, 1), (1, 2)], [[1, 10, 11], [4, 6, 2]]), CompactnessSpec(1, 0))
+    in_phase_1 = (Instance(3, [(0, 1), (1, 2)], [[5, 6, 1], [7, 4, 8]]), CompactnessSpec(1, 0))
+    kept_again = (Instance(4, [(0, 1), (1, 2), (2, 3)], [[1, 10, 1, 4], [3, 6, 7, 0]]),
+                  CompactnessSpec(1, 1))
+    witnesses = {}
+    for inst, spec in fixed + [in_phase_2, in_phase_1, kept_again] + _small_cases(92, 12):
         for goal in goals:
-            got, with_skip = answer(inst, spec, goal, True)
-            want, without = answer(inst, spec, goal, False)
+            got, with_skip, witness_calls = answer(inst, spec, goal, True)
+            want, without, _ = answer(inst, spec, goal, False)
             assert got == want, (goal, inst.values, inst.edges, spec)
             assert with_skip <= without
             total_with, total_without = total_with + with_skip, total_without + without
+            if goal is FairnessGoal.MAXIMIN:
+                witnesses[inst] = witness_calls
     assert total_with < total_without
+    assert witnesses[in_phase_2[0]] == 0 and witnesses[in_phase_1[0]] == 1
+
+    inst, spec = kept_again
+    (alloc, _shares), _, _ = answer(inst, spec, FairnessGoal.MAXIMIN, True)
+    n = inst.n
+    w = tuple(bundle_value(inst, p, alloc.bundles[j]) for p in range(n) for j in range(n))
+    rank = {centers: r for r, centers in enumerate(center_tuples(inst, spec.alpha))}
+    holding = [rank[centers] for centers, seen in opened[-1] if w in seen]
+    assert holding[0] > min(holding)
 
 
 def test_ef_po_routed_through_oracle():
