@@ -17,8 +17,9 @@ group in canonical order.  Welfare and meeting the mms shares are upward
 closed (if w is accepted, so is every matrix above it), so a group whose
 bound is not accepted holds no accepted matrix and is never opened.  Welfare
 walks the groups in order and skips those.  prop is upward closed too but
-does not read the bound yet (ROADMAP item 4); ef-complete and ef-po are not
-upward closed.
+does not read the bound yet: its skip waits for a benchmark change that
+makes the `tw-early` workload long enough to hold its spread bound.
+ef-complete and ef-po are not upward closed.
 
 mms takes two phases, best bound first (Land and Doig, Econometrica 28(3),
 1960).  Phase 1 (`maximin`) finds the shares.  It opens the groups in
@@ -45,11 +46,6 @@ from .oracle import _dominated, distinct_utility_vectors
 Matrix = tuple[int, ...]
 Candidates = Iterable[tuple[Matrix, Hashable]]
 Group = tuple[Callable[[], Optional[Matrix]], Callable[[], Candidates]]
-
-
-def one_group(matrices: Callable[[], Candidates]) -> list[Group]:
-    """A whole stream as a single group without a bound."""
-    return [(lambda: None, matrices)]
 
 
 def _envy_free(w: Matrix, n: int) -> bool:

@@ -24,6 +24,14 @@ class FairnessGoal(Enum):
     MAX_WELFARE = "welfare"
 
 
+def _int(x, what: str) -> int:
+    """x itself if it is an int; anything else, a bool included, is rejected
+    instead of being coerced."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 @dataclass(frozen=True)
 class CompactnessSpec:
     """Bundle constraint parameters: cover by `alpha` balls of radius `beta`;
@@ -34,9 +42,9 @@ class CompactnessSpec:
     strong: bool = False
 
     def __post_init__(self):
-        if self.alpha < 1:
+        if _int(self.alpha, "alpha") < 1:
             raise ValueError("alpha must be >= 1")
-        if self.beta < 0:
+        if _int(self.beta, "beta") < 0:
             raise ValueError("beta must be >= 0")
 
 
@@ -57,14 +65,14 @@ class Instance:
         values: Sequence[Sequence[int]],
         agent_names: Optional[Sequence[str]] = None,
     ):
-        if not isinstance(m, int) or m < 0:
+        if _int(m, "m") < 0:
             raise ValueError("m must be a non-negative integer")
         self.m = m
         seen: set[tuple[int, int]] = set()
         for e in edges:
             if len(e) != 2:
                 raise ValueError(f"edge {e!r} is not a pair")
-            u, v = int(e[0]), int(e[1])
+            u, v = _int(e[0], "an edge endpoint"), _int(e[1], "an edge endpoint")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < m and 0 <= v < m):
@@ -78,7 +86,7 @@ class Instance:
             raise ValueError("need at least one agent")
         rows = []
         for i, row in enumerate(values):
-            row = tuple(int(x) for x in row)
+            row = tuple(_int(x, "a value") for x in row)
             if len(row) != m:
                 raise ValueError(f"agent {i}: value row has length {len(row)}, expected {m}")
             if any(x < 0 for x in row):
@@ -206,15 +214,11 @@ def instance_to_dict(instance: Instance) -> dict:
     }
 
 
-def _json_int(x, what: str) -> int:
-    """An integer read from JSON.  Booleans and numbers with a fractional part
-    are rejected instead of being truncated; an integral float such as 2.0 is
-    taken as the integer it equals."""
-    if isinstance(x, float) and x.is_integer():
-        return int(x)
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise ValueError(f"{what} must be an integer, got {x!r}")
-    return x
+def _json_int(x):
+    """A number read from JSON: an integral float such as 2.0 is taken as the
+    integer it equals.  Anything else is passed on as read, and `Instance`
+    rejects it unless it is an int, so a fraction is never truncated."""
+    return int(x) if isinstance(x, float) and x.is_integer() else x
 
 
 def _json_list(x, what: str) -> list:
@@ -233,7 +237,7 @@ def instance_from_dict(data: dict) -> Instance:
     if not isinstance(agents, list) or not agents:
         raise ValueError("agents must be a non-empty list")
     edges = [
-        [_json_int(z, "an edge endpoint") for z in _json_list(e, "an edge")]
+        [_json_int(z) for z in _json_list(e, "an edge")]
         for e in _json_list(data["edges"], "edges")
     ]
     values = []
@@ -242,14 +246,14 @@ def instance_from_dict(data: dict) -> Instance:
     for entry in agents:
         if not isinstance(entry, dict) or "values" not in entry:
             raise ValueError("each agent needs a values row")
-        values.append([_json_int(x, "a value") for x in _json_list(entry["values"], "values")])
+        values.append([_json_int(x) for x in _json_list(entry["values"], "values")])
         if "name" in entry:
             named = True
             names.append(str(entry["name"]))
         else:
             names.append("")
     return Instance(
-        _json_int(data["m"], "m"),
+        _json_int(data["m"]),
         edges,
         values,
         agent_names=names if named else None,

@@ -18,7 +18,8 @@ value matrix of the whole bundles.  The drivers hand the goal layer
 (`goals`) those matrices as one group per center tuple, with the tuple's
 ball bound; the goal layer opens the groups in the order its goal needs, and
 a tuple it never opens is never annotated (`_TupleSource`).  The tuples are
-swept serially, one at a time.
+swept serially, one at a time, and every goal gets its own pass, so each
+goal keeps its own bounds and order (`solve_tw_goals` too).
 
 A label is a depth in the witness tree, which is at least the distance
 inside the bundle and so at least the graph distance from the hub.  Vertex z
@@ -646,30 +647,8 @@ def solve_tw(
 
 
 def solve_tw_goals(
-    instance: Instance,
-    spec: CompactnessSpec,
-    goals: Iterable[FairnessGoal],
-    td: Optional[TreeDecomposition] = None,
-    max_tuples: Optional[int] = None,
+    instance: Instance, spec: CompactnessSpec, goals: Iterable[FairnessGoal]
 ) -> dict[FairnessGoal, Optional[Allocation]]:
-    """Answer several goals from shared DP passes.
-
-    All goals except ef-complete read the same unrestricted candidates, so
-    one sweep over the annotated instances serves them all, as a single
-    group without a bound; ef-complete gets its own completeness-restricted
-    sweep.  Witnesses of the shared sweep re-run the single winning instance.
-    """
-    goals = list(goals)
-    if FairnessGoal.EF_PARETO in goals:
-        raise ValueError("ef-po is answered by the oracle, not the DP")
-    _check_input(instance, spec, max_tuples)
-    source = _TupleSource(instance, spec, td)
-    open_goals = set(goals) - {FairnessGoal.EF_COMPLETE}
-    shared = (
-        [c for _ub, matrices in source.groups(False) for c in matrices()] if open_goals else []
-    )
-
-    def groups(complete):  # every tuple is swept
-        return source.groups(True) if complete else goal_layer.one_group(lambda: shared)
-
-    return {goal: goal_layer.solve(instance, goal, groups, source.witness)[0] for goal in goals}
+    """Each goal's `solve_tw` answer: one goal-layer pass per goal, with that
+    goal's bounds and order."""
+    return {goal: solve_tw(instance, spec, goal) for goal in goals}

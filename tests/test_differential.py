@@ -54,6 +54,8 @@ def meets(inst, spec, goal, alloc, shares=None) -> bool:
         return is_envy_free(inst, alloc) and is_complete(inst, alloc)
     if goal is FairnessGoal.MAX_WELFARE:
         return utilitarian_welfare(inst, alloc) == max_welfare_upper(inst)
+    if goal is FairnessGoal.EF_PARETO:
+        return is_envy_free(inst, alloc)
     return all(bundle_value(inst, i, alloc.bundles[i]) >= shares[i] for i in range(inst.n))
 
 
@@ -88,6 +90,19 @@ def check_mms(inst, spec):
 @given(cases(max_beta=1, min_agents=3, max_agents=3, max_items=4))
 def test_three_agent_mms_agrees_with_the_oracle(case):
     check_mms(*case)
+
+
+# the goal layer's ef-po predicate, which the solvers share; tw-dp hands
+# ef-po to the oracle itself, so enum is the solver that reaches it
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(cases(max_agents=3))
+def test_enum_ef_po_agrees_with_the_oracle(case):
+    inst, spec = case
+    want = solve_oracle(inst, spec, FairnessGoal.EF_PARETO)
+    got, shares = answer_enum(inst, spec, FairnessGoal.EF_PARETO)
+    assert shares is None
+    assert (got is None) == (want is None)
+    assert got is None or meets(inst, spec, FairnessGoal.EF_PARETO, got)
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)

@@ -77,6 +77,21 @@ def test_instance_validation():
         Instance(2, [], [[1, -1]])  # negative
     with pytest.raises(ValueError):
         Instance(2, [], [])  # no agents
+    # non-integers and booleans are rejected, not coerced
+    for m, edges, values in [
+        (2, [(0.7, 1)], [[1, 1]]),
+        (2, [(0, True)], [[1, 1]]),
+        (2, [("0", 1)], [[1, 1]]),
+        (1, [], [[1.5]]),
+        (1, [], [[1.0]]),
+        (1, [], [[True]]),
+        (1, [], [["3"]]),
+        (True, [], [[1]]),
+        (2.0, [], [[1, 1]]),
+        ("3", [], [[1, 1, 1]]),
+    ]:
+        with pytest.raises(ValueError):
+            Instance(m, edges, values)
 
 
 def test_allocation_validation():
@@ -96,6 +111,9 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         CompactnessSpec(1, -1)
     assert CompactnessSpec(2, 1, strong=True).strong
+    for alpha, beta in [(1.0, 1), (True, 1), ("2", 1), (1, 0.0), (1, False), (1, "1")]:
+        with pytest.raises(ValueError):
+            CompactnessSpec(alpha, beta)
 
 
 def test_json_round_trip():

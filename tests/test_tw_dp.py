@@ -179,14 +179,14 @@ def test_solve_tw_goals_matches_single_goal():
         FairnessGoal.MAXIMIN,
         FairnessGoal.MAX_WELFARE,
         FairnessGoal.EF_COMPLETE,
+        FairnessGoal.EF_PARETO,
     ]
     for _ in range(8):
         inst = random_instance(rng, rng.randint(1, 4), rng.randint(1, 2), vmax=4)
         spec = CompactnessSpec(1, rng.choice([0, 1]))
         combined = solve_tw_goals(inst, spec, goals)
         for goal in goals:
-            single = solve_tw(inst, spec, goal)
-            assert (single is None) == (combined[goal] is None)
+            assert combined[goal] == solve_tw(inst, spec, goal)
 
 
 def test_mms_tw_matches_oracle():
