@@ -13,13 +13,15 @@ allocate every item are listed; every other goal is a question about w alone
 quantifies over all allocations).
 
 The answer is the first accepted candidate of the stream that opens every
-group in canonical order.  Welfare and meeting the mms shares are upward
-closed (if w is accepted, so is every matrix above it), so a group whose
-bound is not accepted holds no accepted matrix and is never opened.  Welfare
-walks the groups in order and skips those.  prop is upward closed too but
-does not read the bound yet: its skip waits for a benchmark change that
-makes the `tw-early` workload long enough to hold its spread bound.
-ef-complete and ef-po are not upward closed.
+group in canonical order.  prop, welfare and meeting the mms shares are
+upward closed (if w is accepted, so is every matrix above it), so a group
+whose bound is not accepted holds no accepted matrix and is never opened.
+prop and welfare walk the groups in order and skip those.  ef-complete is
+not upward closed, but its accepted matrices are proportional, and so is
+their bound: every item is allocated, so row i of w sums to agent i's total
+W_i, and envy-freeness makes w[i,i] the row's largest entry, so
+n * ub[i,i] >= n * w[i,i] >= W_i.  So ef-complete skips the groups whose
+bound fails prop.  ef-po reads no bound.
 
 mms takes two phases, best bound first (Land and Doig, Econometrica 28(3),
 1960).  Phase 1 (`maximin`) finds the shares.  It opens the groups in
@@ -74,6 +76,16 @@ def accepts(
             tuple(w[i * n + i] for i in range(n)), vectors
         )
     raise ValueError(f"unknown goal {goal!r}")
+
+
+def bound_check(instance: Instance, goal: FairnessGoal) -> Optional[Callable[[Matrix], bool]]:
+    """The necessary test `solve` makes on a group's bound (None: the goal
+    reads no bound): prop for prop and ef-complete, welfare for welfare."""
+    if goal in (FairnessGoal.PROPORTIONAL, FairnessGoal.MAX_WELFARE):
+        return accepts(instance, goal)
+    if goal is FairnessGoal.EF_COMPLETE:
+        return accepts(instance, FairnessGoal.PROPORTIONAL)
+    return None
 
 
 def _shares_pass(instance: Instance, groups: list[Group]):
@@ -150,12 +162,11 @@ def solve(
     for other goals)."""
     if goal is FairnessGoal.MAXIMIN:
         return _solve_mms(instance, list(groups(False)), witness)
-    accept = accepts(instance, goal)
-    bounded = goal is FairnessGoal.MAX_WELFARE
+    accept, necessary = accepts(instance, goal), bound_check(instance, goal)
     for ub, matrices in groups(goal is FairnessGoal.EF_COMPLETE):
-        if bounded:
+        if necessary is not None:
             bound = ub()
-            if bound is not None and not accept(bound):
+            if bound is not None and not necessary(bound):
                 continue
         for w, key in matrices():
             if accept(w):

@@ -46,6 +46,8 @@ class CompactnessSpec:
             raise ValueError("alpha must be >= 1")
         if _int(self.beta, "beta") < 0:
             raise ValueError("beta must be >= 0")
+        if not isinstance(self.strong, bool):
+            raise ValueError(f"strong must be a bool, got {self.strong!r}")
 
 
 class Instance:

@@ -114,6 +114,9 @@ def test_spec_validation():
     for alpha, beta in [(1.0, 1), (True, 1), ("2", 1), (1, 0.0), (1, False), (1, "1")]:
         with pytest.raises(ValueError):
             CompactnessSpec(alpha, beta)
+    for strong in ["no", "", 0, 1, None]:
+        with pytest.raises(ValueError):
+            CompactnessSpec(1, 1, strong=strong)
 
 
 def test_json_round_trip():

@@ -14,6 +14,7 @@ from compactfd import (
     solve_oracle,
     solve_tw,
 )
+from compactfd import goals as goal_layer
 from compactfd import tw_dp
 from compactfd.annotate import build_annotated, center_tuples, count_center_tuples
 from compactfd.compactness import ball, induced_subgraph, is_annotated
@@ -226,6 +227,25 @@ def test_ball_bound_dominates_every_root_matrix():
                 assert all(a <= b for a, b in zip(w, ub)), (inst.values, centers, w, ub)
 
 
+def test_bound_check_passes_every_tuple_holding_an_answer():
+    # the goal layer skips a tuple whose ball bound fails `bound_check`; for
+    # ef-complete that is prop on the bound, which a complete envy-free matrix
+    # w <= ub passes: row i sums to W_i and w[i,i] is its largest entry
+    held = dict.fromkeys([FairnessGoal.PROPORTIONAL, FairnessGoal.EF_COMPLETE,
+                          FairnessGoal.MAX_WELFARE], 0)
+    for inst, spec in _small_cases(95, 10):
+        source = tw_dp._TupleSource(inst, spec, None)
+        for goal in held:
+            accept, necessary = goal_layer.accepts(inst, goal), goal_layer.bound_check(inst, goal)
+            for centers in center_tuples(inst, spec.alpha):
+                table = tw_dp._sweep(inst, spec.beta, centers, goal is FairnessGoal.EF_COMPLETE,
+                                     None)
+                if table is not None and any(map(accept, table.root_weights())):
+                    held[goal] += 1
+                    assert necessary(source._bound(centers)), (goal, inst.values, centers)
+    assert all(held.values()), held
+
+
 def test_tuple_skip_changes_no_answer(monkeypatch):
     groups, matrices = tw_dp._TupleSource.groups, tw_dp._TupleSource._matrices
     calls, opened = [], []  # per answer: run_dp and _witness calls; tuples opened
@@ -257,8 +277,9 @@ def test_tuple_skip_changes_no_answer(monkeypatch):
                 mp.setattr(tw_dp._TupleSource, "groups", open_all)
             return tw_dp.answer_tw(inst, spec, goal), *calls[-1]
 
-    total_with = total_without = 0
-    goals = [FairnessGoal.PROPORTIONAL, FairnessGoal.MAX_WELFARE, FairnessGoal.MAXIMIN]
+    goals = [FairnessGoal.PROPORTIONAL, FairnessGoal.EF_COMPLETE, FairnessGoal.MAX_WELFARE,
+             FairnessGoal.MAXIMIN]
+    total_with, total_without = dict.fromkeys(goals, 0), dict.fromkeys(goals, 0)
     # on the path agent 0's share comes from a tuple whose bound does not meet
     # agent 1's running share: it matters only because it raises a share; on
     # the star a bound with rows and columns swapped skips a tuple that sets one
@@ -282,10 +303,12 @@ def test_tuple_skip_changes_no_answer(monkeypatch):
             want, without, _ = answer(inst, spec, goal, False)
             assert got == want, (goal, inst.values, inst.edges, spec)
             assert with_skip <= without
-            total_with, total_without = total_with + with_skip, total_without + without
+            total_with[goal] += with_skip
+            total_without[goal] += without
             if goal is FairnessGoal.MAXIMIN:
                 witnesses[inst] = witness_calls
-    assert total_with < total_without
+    # every goal that reads the bound skips some tuple
+    assert all(total_with[goal] < total_without[goal] for goal in goals), (total_with, total_without)
     assert witnesses[in_phase_2[0]] == 0 and witnesses[in_phase_1[0]] == 1
 
     inst, spec = kept_again
