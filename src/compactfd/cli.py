@@ -128,7 +128,7 @@ def _solve_with(method: str, instance: Instance, spec: CompactnessSpec,
         return path_dp.solve_prop_path_agents(PathInstance(instance), spec.beta, spec.strong), None
     if method == "tw-dp":
         td = None
-        if getattr(args, "td", None):
+        if args.td:
             with open(args.td, "r", encoding="utf-8") as fh:
                 td = parse_td(fh.read())
             if not validate_td(instance.graph(), td):
@@ -161,9 +161,10 @@ def cmd_solve(args) -> int:
     instance = load_instance(args.instance)
     spec = _spec_from(args)
     goal = GOALS[args.goal]
-    method = args.method
-    if method == "auto":
-        method = _auto_method(instance, spec, goal)
+    method = args.method if args.method != "auto" else _auto_method(instance, spec, goal)
+    if args.td and method != "tw-dp":
+        raise ValueError(f"--td is read only by tw-dp, and the method is {method}")
+    if args.method == "auto":
         print(f"method: {method}", file=sys.stderr)
     alloc, mms = _solve_with(method, instance, spec, goal, args)
     if alloc is None:

@@ -100,7 +100,7 @@ def _matrices(instance: Instance, spec: CompactnessSpec, budget: int, complete: 
 def _groups(instance: Instance, spec: CompactnessSpec, budget: int, complete: bool):
     """The enumeration as a single group without a bound: no bound here is
     cheaper than the matrices themselves."""
-    return [(lambda: None, partial(_matrices, instance, spec, budget, complete))]
+    return [(None, partial(_matrices, instance, spec, budget, complete))]
 
 
 def answer_enum(

@@ -4,13 +4,14 @@ An exact solver lists its compact allocations as `groups(complete)`, an
 iterable of groups `(ub, matrices)` in the solver's canonical order.
 `matrices()` opens a group: it yields `(w, key)` in the group's own order,
 where w is the flat row-major n x n value matrix (w[i * n + j] is agent i's
-value for bundle j) and `witness(key, w)` rebuilds the allocation.  `ub()` is
+value for bundle j) and `witness(key, w)` rebuilds the allocation.  `ub` is
 a matrix with w <= ub componentwise for every w of the group, or None when
-the group has no bound; the layer calls it only for goals that use it, so a
-source may compute it lazily.  With `complete` set, only allocations that
-allocate every item are listed; every other goal is a question about w alone
-(ef-po compares the diagonal with all utility vectors, as Pareto-optimality
-quantifies over all allocations).
+the group has no bound.  It is a value, computed when the group is listed; a
+source that lists its groups lazily never builds those a goal does not
+reach.  With `complete` set, only allocations that allocate every item are
+listed; every other goal is a question about w alone (ef-po compares the
+diagonal with all utility vectors, as Pareto-optimality quantifies over all
+allocations).
 
 The answer is the first accepted candidate of the stream that opens every
 group in canonical order.  prop, welfare and meeting the mms shares are
@@ -28,15 +29,16 @@ mms takes two phases, best bound first (Land and Doig, Econometrica 28(3),
 descending order of the sum of their bound's row minima, ties by canonical
 rank, and skips every group that cannot raise a running share (no row
 minimum of its bound above that share).  Shares only grow, so a skipped
-group could not raise one later either, and the shares are those of the
-full stream.  For every matrix that meets the running shares it keeps the
-smallest (rank, position) it was seen at; a matrix that falls below them is
-dropped for good.  Phase 2 finds the answer.  An accepted matrix that comes
-before the best kept one can only sit in an unopened group of lower rank
-whose bound meets the shares; those groups are opened in canonical order,
-and the first accepted matrix there is the answer.  Without one, the answer
-is the best kept matrix.  The oracle keeps its own loops, as the reference
-the solvers are tested against.
+group could not raise one later either, and the shares are those of the full
+stream.  Every candidate that meets the running shares goes on a list with
+its (rank, position); a matrix that meets the final shares met them wherever
+it was seen, so the best kept candidate is the listed one of smallest (rank,
+position) that meets the final shares.  Phase 2 finds the answer.  An
+accepted matrix that comes before the best kept one can only sit in an
+unopened group of lower rank whose bound meets the shares; those groups are
+opened in canonical order, and the first accepted matrix there is the
+answer.  Without one, the answer is the best kept matrix.  The oracle
+keeps its own loops, as the reference the solvers are tested against.
 """
 from __future__ import annotations
 
@@ -47,7 +49,7 @@ from .oracle import _dominated, distinct_utility_vectors
 
 Matrix = tuple[int, ...]
 Candidates = Iterable[tuple[Matrix, Hashable]]
-Group = tuple[Callable[[], Optional[Matrix]], Callable[[], Candidates]]
+Group = tuple[Optional[Matrix], Callable[[], Candidates]]
 
 
 def _envy_free(w: Matrix, n: int) -> bool:
@@ -95,7 +97,7 @@ def _shares_pass(instance: Instance, groups: list[Group]):
     n = instance.n
     shares = [0] * n
     meets = accepts(instance, FairnessGoal.MAXIMIN, shares)  # reads the running shares
-    bounds = [ub() for ub, _ in groups]
+    bounds = [ub for ub, _ in groups]
     floors = [  # per group: the row minima of its bound, which cap its row minima
         None if ub is None else [min(ub[i * n : (i + 1) * n]) for i in range(n)]
         for ub in bounds
@@ -104,7 +106,7 @@ def _shares_pass(instance: Instance, groups: list[Group]):
         range(len(groups)),
         key=lambda r: (floors[r] is not None, -sum(floors[r] or ()), r),
     )
-    kept: dict[Matrix, tuple] = {}  # w -> (rank, position, w, key), the smallest seen
+    kept = []  # (rank, position, w, key) of each candidate meeting the running shares
     opened = set()
     for rank in order:
         floor = floors[rank]
@@ -112,17 +114,11 @@ def _shares_pass(instance: Instance, groups: list[Group]):
             continue  # cannot raise a share, now or later
         opened.add(rank)
         for pos, (w, key) in enumerate(groups[rank][1]()):
-            raised = False
             for i in range(n):
-                worst = min(w[i * n : (i + 1) * n])
-                if worst > shares[i]:
-                    shares[i] = worst
-                    raised = True
-            if raised:
-                kept = {v: k for v, k in kept.items() if meets(v)}
-            if meets(w) and (w not in kept or (rank, pos) < kept[w][:2]):
-                kept[w] = (rank, pos, w, key)
-    best = min(kept.values(), key=lambda b: b[:2], default=None)
+                shares[i] = max(shares[i], min(w[i * n : (i + 1) * n]))
+            if meets(w):
+                kept.append((rank, pos, w, key))
+    best = min((b for b in kept if meets(b[2])), key=lambda b: b[:2], default=None)
     return shares, bounds, opened, best
 
 
@@ -164,10 +160,8 @@ def solve(
         return _solve_mms(instance, list(groups(False)), witness)
     accept, necessary = accepts(instance, goal), bound_check(instance, goal)
     for ub, matrices in groups(goal is FairnessGoal.EF_COMPLETE):
-        if necessary is not None:
-            bound = ub()
-            if bound is not None and not necessary(bound):
-                continue
+        if necessary is not None and ub is not None and not necessary(ub):
+            continue
         for w, key in matrices():
             if accept(w):
                 return witness(key, w), None

@@ -2,46 +2,33 @@
 
 With a radius of zero every bundle has at most one item, so the graph drops
 out entirely.  Proportionality and maximin reduce to saturating matchings in
-an agents-items bipartite graph; envy-freeness under the exactly-one-item
-constraint is solved by iterated Hall-violator removal.
+an agents-items bipartite graph, given as an adjacency list (adj[i] lists the
+items agent i accepts); envy-freeness under the exactly-one-item constraint
+is solved by iterated Hall-violator removal.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .model import Allocation, Instance, total_value
 
 
-@dataclass(frozen=True)
-class AgentItemGraph:
-    """Bipartite eligibility graph: adj[i] lists the items agent i accepts."""
-
-    n_agents: int
-    n_items: int
-    adj: tuple[tuple[int, ...], ...]
-
-
-def build_agent_item_graph(instance: Instance, eligible: Callable[[int, int], bool]) -> AgentItemGraph:
-    adj = tuple(
-        tuple(z for z in range(instance.m) if eligible(i, z)) for i in range(instance.n)
-    )
-    return AgentItemGraph(instance.n, instance.m, adj)
-
-
-def maximum_matching(graph: AgentItemGraph, agents: Optional[list[int]] = None) -> dict[int, int]:
-    """Maximum matching via augmenting paths; returns agent -> item.
+def maximum_matching(
+    adj: Sequence[Sequence[int]], agents: Optional[Iterable[int]] = None
+) -> dict[int, int]:
+    """Maximum matching via augmenting paths in the agents-items graph where
+    agent i accepts the items adj[i]; returns agent -> item.
 
     Agents are processed in ascending order, so the result is deterministic.
     `agents` restricts which left vertices participate.
     """
     if agents is None:
-        agents = list(range(graph.n_agents))
+        agents = range(len(adj))
     item_owner: dict[int, int] = {}
     agent_item: dict[int, int] = {}
 
     def try_augment(a: int, visited: set[int]) -> bool:
-        for z in graph.adj[a]:
+        for z in adj[a]:
             if z in visited:
                 continue
             visited.add(z)
@@ -65,10 +52,8 @@ def _threshold_matching(instance: Instance, thresholds: list[int]) -> Optional[A
     of the needing agents exists.
     """
     needing = [i for i in range(instance.n) if thresholds[i] > 0]
-    graph = build_agent_item_graph(
-        instance, lambda i, z: instance.values[i][z] >= thresholds[i]
-    )
-    matched = maximum_matching(graph, needing)
+    adj = [[z for z, v in enumerate(row) if v >= t] for row, t in zip(instance.values, thresholds)]
+    matched = maximum_matching(adj, needing)
     if len(matched) < len(needing):
         return None
     bundles = [frozenset() for _ in range(instance.n)]
@@ -130,8 +115,7 @@ def solve_ef_one_item(instance: Instance) -> Optional[Allocation]:
         for i in range(n):
             best = max(instance.values[i][z] for z in remaining)
             adj.append(tuple(z for z in sorted(remaining) if instance.values[i][z] == best))
-        graph = AgentItemGraph(n, instance.m, tuple(adj))
-        matched = maximum_matching(graph)
+        matched = maximum_matching(adj)
         if len(matched) == n:
             bundles = [frozenset([matched[i]]) for i in range(n)]
             return Allocation(tuple(bundles))
@@ -143,7 +127,7 @@ def solve_ef_one_item(instance: Instance) -> Optional[Allocation]:
         while frontier:
             nxt = []
             for a in frontier:
-                for z in graph.adj[a]:
+                for z in adj[a]:
                     if z in reach_items:
                         continue
                     reach_items.add(z)

@@ -98,6 +98,9 @@ class Instance:
         if agent_names is not None:
             if len(agent_names) != len(rows):
                 raise ValueError("agent_names length mismatch")
+            for name in agent_names:
+                if not isinstance(name, str):
+                    raise ValueError(f"an agent name must be a string, got {name!r}")
             self.agent_names = tuple(agent_names)
         else:
             self.agent_names = None
@@ -251,7 +254,7 @@ def instance_from_dict(data: dict) -> Instance:
         values.append([_json_int(x) for x in _json_list(entry["values"], "values")])
         if "name" in entry:
             named = True
-            names.append(str(entry["name"]))
+            names.append(entry["name"])
         else:
             names.append("")
     return Instance(

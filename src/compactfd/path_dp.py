@@ -10,12 +10,11 @@ agent her own type, so the vector is the subset of agents served.
 Valuations may be a black-box bundle function (additivity is not required);
 the additive default uses prefix sums.
 
-A table entry [i, j, state] says: the agents counted in `state` can all be
-given proportional blocks inside the first i vertices with no vertex after
-position j allocated.  Peeling the rightmost block (lo, hi] leads to the
-predecessor entry [hi, lo, state minus one agent of the block's type].
-Indices include 0 so blocks that touch the first vertex and fully empty
-prefixes are representable.
+A table entry [j, state] says: the agents counted in `state` can all be
+given proportional blocks with no vertex after position j allocated.  Peeling
+the rightmost block (lo, hi] leads to the predecessor entry [lo, state minus
+one agent of the block's type].  Indices include 0 so blocks that touch the
+first vertex and fully empty prefixes are representable.
 """
 from __future__ import annotations
 
@@ -180,10 +179,7 @@ def solve_prop_path_types(
     p = profile.p
     blocks = _proportional_blocks(path, beta, strong, [reps[q] for q in range(p)])
     zero = tuple([0] * p)
-    table: dict[tuple[int, int, tuple[int, ...]], Optional[tuple]] = {}
-    for i in range(m + 1):
-        for j in range(i + 1):
-            table[(i, j, zero)] = None
+    table: dict[tuple, Optional[tuple]] = {(j, zero): None for j in range(m + 1)}
     all_vecs = sorted(
         itertools.product(*[range(c + 1) for c in profile.counts]), key=sum
     )
@@ -200,24 +196,19 @@ def solve_prop_path_types(
             hit = None
             for q, sub in subs:
                 for (lo, hi) in blocks[reps[q]]:
-                    if hi <= j and (hi, lo, sub) in table:
+                    if hi <= j and (lo, sub) in table:
                         hit = (q, lo, hi)
                         break
                 if hit:
                     break
             if hit:
-                for i in range(j, m + 1):
-                    table[(i, j, vec)] = hit
+                table[(j, vec)] = hit
     limit = 1
     for c in profile.counts:
         limit *= c + 1
-    assert len(table) <= (m + 1) * (m + 1) * limit
+    assert len(table) <= (m + 1) * limit
     target = tuple(profile.counts)
-    start = None
-    for j in range(m + 1):
-        if (m, j, target) in table:
-            start = (m, j, target)
-            break
+    start = next(((j, target) for j in range(m + 1) if (j, target) in table), None)
     if start is None:
         return None
     agents_by_type: dict[int, list[int]] = {}
@@ -225,12 +216,11 @@ def solve_prop_path_types(
         agents_by_type.setdefault(t, []).append(a)
     bundles = [frozenset() for _ in range(n)]
     state = start
-    while state[2] != zero:
+    while state[1] != zero:
         q, lo, hi = table[state]
         agent = agents_by_type[q].pop()
         bundles[agent] = frozenset(path.order[lo:hi])
-        vec = state[2]
-        state = (hi, lo, tuple(c - 1 if r == q else c for r, c in enumerate(vec)))
+        state = (lo, tuple(c - 1 if r == q else c for r, c in enumerate(state[1])))
     return Allocation(tuple(bundles))
 
 

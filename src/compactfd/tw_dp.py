@@ -18,8 +18,9 @@ value matrix of the whole bundles.  The drivers hand the goal layer
 (`goals`) those matrices as one group per center tuple, with the tuple's
 ball bound; the goal layer opens the groups in the order its goal needs, and
 a tuple it never opens is never annotated (`_TupleSource`).  The tuples are
-swept serially, one at a time, and every goal gets its own pass, so each
-goal keeps its own bounds and order (`solve_tw_goals` too).
+swept serially, one at a time, and every goal, ef-po included, gets its own
+goal-layer pass, so each goal keeps its own bounds and order
+(`solve_tw_goals` too).
 
 A label is a depth in the witness tree, which is at least the distance
 inside the bundle and so at least the graph distance from the hub.  Vertex z
@@ -542,8 +543,8 @@ class _TupleSource:
 
     A group's bound is the tuple's ball bound: bundle j only holds vertices
     within beta of C_j, so no root matrix exceeds ub[p * n + j] = agent p's
-    value for the union of the balls around C_j.  It is computed only when
-    the goal layer reads it, and every vertex's ball once per source.
+    value for the union of the balls around C_j.  It is computed when the
+    group is yielded, from every vertex's ball computed once per source.
 
     The witness for the group being read comes off its live table; any other
     key re-runs its tuple's DP (`_witness`).  A tuple's tables are dropped
@@ -553,17 +554,15 @@ class _TupleSource:
 
     def __init__(self, instance, spec, td):
         self.instance, self.spec, self.td = instance, spec, td
-        self._balls = None  # vertex -> its beta-ball, on the first bound
+        graph = instance.graph()
+        self._balls = {v: ball(graph, v, spec.beta) for v in graph.vertices}
         self._live = None  # (key, table) of the tuple being read
 
     def groups(self, complete: bool):
         for centers in center_tuples(self.instance, self.spec.alpha):
-            yield partial(self._bound, centers), partial(self._matrices, centers, complete)
+            yield self._bound(centers), partial(self._matrices, centers, complete)
 
     def _bound(self, centers) -> tuple[int, ...]:
-        if self._balls is None:
-            graph = self.instance.graph()
-            self._balls = {v: ball(graph, v, self.spec.beta) for v in graph.vertices}
         reach = [frozenset().union(*(self._balls[c] for c in cs)) for cs in centers]
         return tuple(sum(row[v] for v in r) for row in self.instance.values for r in reach)
 
@@ -622,14 +621,10 @@ def answer_tw(
     root slices of the per-tuple DPs (None if there is none), and for mms
     every agent's maximin share from the same pass (None for other goals).
 
-    ef-po is answered by the exhaustive oracle; Pareto-optimality is not a
-    function of the DP state, so this route is desk scale only.
+    ef-po's predicate compares each matrix with every utility vector
+    (`oracle.distinct_utility_vectors`), so it runs under the oracle's
+    budget; its answer is the first accepted matrix in tuple order.
     """
-    if goal is FairnessGoal.EF_PARETO:
-        _check_input(instance, spec, None)
-        from .oracle import solve_oracle
-
-        return solve_oracle(instance, spec, goal), None
     _check_input(instance, spec, max_tuples)
     source = _TupleSource(instance, spec, td)
     return goal_layer.solve(instance, goal, source.groups, source.witness)

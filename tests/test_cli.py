@@ -193,6 +193,19 @@ def test_solve_accepts_jobs_one_as_a_no_op(tmp_path, capsys):
     assert runs[0][0] == 0 and json.loads(runs[0][1])["answer"] == "yes"
 
 
+@pytest.mark.parametrize("method", ["oracle", "auto"])
+def test_solve_rejects_a_td_that_no_method_reads(method, tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"m": 2, "edges": [[0, 1]], "agents": [{"values": [1, 1]}]}))
+    rc = main(["solve", str(path), "--goal", "prop", "--alpha", "1", "--beta", "1",
+               "--method", method, "--td", str(tmp_path / "missing.td")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "--td" in lines[0]
+
+
 def test_solve_uses_the_external_td(tmp_path, capsys, monkeypatch):
     data = {
         "m": 5,
@@ -260,6 +273,11 @@ def test_exit_codes(tmp_path, capsys):
     rc = main(["solve", str(fractional), "--goal", "prop", "--alpha", "1", "--beta", "1"])
     assert rc == 2
     capsys.readouterr()
+    unnamed = tmp_path / "unnamed.json"
+    unnamed.write_text('{"m": 1, "edges": [], "agents": [{"name": null, "values": [1]}]}')
+    rc = main(["solve", str(unnamed), "--goal", "prop", "--alpha", "1", "--beta", "1"])
+    out, err = capsys.readouterr()
+    assert rc == 2 and out == "" and err.startswith("error:") and err.count("\n") == 1
     big = tmp_path / "big.json"
     big.write_text(json.dumps({
         "m": 12, "edges": [],

@@ -92,17 +92,17 @@ def test_three_agent_mms_agrees_with_the_oracle(case):
     check_mms(*case)
 
 
-# the goal layer's ef-po predicate, which the solvers share; tw-dp hands
-# ef-po to the oracle itself, so enum is the solver that reaches it
+# the goal layer's ef-po predicate, which enum and tw-dp share
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(cases(max_agents=3))
 def test_enum_ef_po_agrees_with_the_oracle(case):
     inst, spec = case
     want = solve_oracle(inst, spec, FairnessGoal.EF_PARETO)
-    got, shares = answer_enum(inst, spec, FairnessGoal.EF_PARETO)
-    assert shares is None
-    assert (got is None) == (want is None)
-    assert got is None or meets(inst, spec, FairnessGoal.EF_PARETO, got)
+    for solver in (answer_enum, answer_tw):
+        got, shares = solver(inst, spec, FairnessGoal.EF_PARETO)
+        assert shares is None
+        assert (got is None) == (want is None), solver.__name__
+        assert got is None or meets(inst, spec, FairnessGoal.EF_PARETO, got), solver.__name__
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)

@@ -92,6 +92,10 @@ def test_instance_validation():
     ]:
         with pytest.raises(ValueError):
             Instance(m, edges, values)
+    # agent names must be strings
+    for name in [5, None, b"a", ["a"]]:
+        with pytest.raises(ValueError):
+            Instance(1, [], [[1]], agent_names=[name])
 
 
 def test_allocation_validation():
@@ -157,6 +161,12 @@ def test_json_rejects_bad_inputs():
             bad["agents"][0]["values"] = bad_value
         else:
             bad[key] = bad_value
+        with pytest.raises(ValueError):
+            instance_from_dict(bad)
+    # a name that is not a string is rejected, not stringified
+    for bad_name in [None, {"x": 1}, 5, ["a"], True]:
+        bad = json.loads(json.dumps(base))
+        bad["agents"][0]["name"] = bad_name
         with pytest.raises(ValueError):
             instance_from_dict(bad)
     ok = json.loads(json.dumps(base))

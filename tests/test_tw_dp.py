@@ -257,7 +257,7 @@ def test_tuple_skip_changes_no_answer(monkeypatch):
         return wrapped
 
     def open_all(self, complete):  # no bounds: every group opens, in canonical order
-        return [(lambda: None, group) for _ub, group in groups(self, complete)]
+        return [(None, group) for _ub, group in groups(self, complete)]
 
     def logged(self, centers, complete):
         seen = []
@@ -318,14 +318,6 @@ def test_tuple_skip_changes_no_answer(monkeypatch):
     rank = {centers: r for r, centers in enumerate(center_tuples(inst, spec.alpha))}
     holding = [rank[centers] for centers, seen in opened[-1] if w in seen]
     assert holding[0] > min(holding)
-
-
-def test_ef_po_routed_through_oracle():
-    inst = Instance(2, [], [[4, 1], [1, 4]])
-    spec = CompactnessSpec(1, 0)
-    alloc = solve_tw(inst, spec, FairnessGoal.EF_PARETO)
-    assert alloc is not None
-    assert alloc.bundles == (frozenset([0]), frozenset([1]))
 
 
 def test_strong_spec_rejected():
