@@ -6,8 +6,8 @@ the hub inside the bundle.  Enumerating one instance per center tuple
 (C_1, ..., C_n), with |C_i| <= alpha and the C_i pairwise disjoint, turns a
 compact fair-division question into many annotated ones.  Base vertices
 outside every center ball can never be allocated in the annotated instance
-and are pruned away; callers that care about completeness must skip tuples
-that prune (see tw_dp).
+and are pruned away, so a complete goal can use only the tuples that prune
+nothing; tw_dp leaves the others out before annotating them.
 """
 from __future__ import annotations
 

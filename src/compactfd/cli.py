@@ -128,7 +128,7 @@ def _solve_with(method: str, instance: Instance, spec: CompactnessSpec,
         return path_dp.solve_prop_path_agents(PathInstance(instance), spec.beta, spec.strong), None
     if method == "tw-dp":
         td = None
-        if args.td:
+        if args.td is not None:
             with open(args.td, "r", encoding="utf-8") as fh:
                 td = parse_td(fh.read())
             if not validate_td(instance.graph(), td):
@@ -162,7 +162,7 @@ def cmd_solve(args) -> int:
     spec = _spec_from(args)
     goal = GOALS[args.goal]
     method = args.method if args.method != "auto" else _auto_method(instance, spec, goal)
-    if args.td and method != "tw-dp":
+    if args.td is not None and method != "tw-dp":
         raise ValueError(f"--td is read only by tw-dp, and the method is {method}")
     if args.method == "auto":
         print(f"method: {method}", file=sys.stderr)

@@ -225,21 +225,20 @@ def is_strongly_compact(graph: Graph, alpha: int, beta: int) -> Optional[StrongC
     return None
 
 
+def _meets_spec(sub: Graph, spec) -> bool:
+    """True iff `sub` is (strongly) compact per `spec`.  The recognizer is
+    looked up when called, so a wrapper set on this module is used."""
+    recognize = is_strongly_compact if spec.strong else is_compact
+    return recognize(sub, spec.alpha, spec.beta) is not None
+
+
 def is_compact_allocation(instance: "Instance", allocation, spec) -> bool:
     """True iff every bundle induces a (strongly) compact subgraph per `spec`.
 
     Distances are measured inside each bundle's induced subgraph.
     """
     graph = instance.graph()
-    for bundle in allocation.bundles:
-        sub = induced_subgraph(graph, bundle)
-        if spec.strong:
-            if is_strongly_compact(sub, spec.alpha, spec.beta) is None:
-                return False
-        else:
-            if is_compact(sub, spec.alpha, spec.beta) is None:
-                return False
-    return True
+    return all(_meets_spec(induced_subgraph(graph, b), spec) for b in allocation.bundles)
 
 
 class BundleCompactnessCache:
@@ -265,11 +264,7 @@ class BundleCompactnessCache:
                 bundle.append(z)
             rest >>= 1
             z += 1
-        sub = induced_subgraph(self._graph, bundle)
-        if self._spec.strong:
-            ok = is_strongly_compact(sub, self._spec.alpha, self._spec.beta) is not None
-        else:
-            ok = is_compact(sub, self._spec.alpha, self._spec.beta) is not None
+        ok = _meets_spec(induced_subgraph(self._graph, bundle), self._spec)
         self._cache[mask] = ok
         return ok
 

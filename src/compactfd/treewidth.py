@@ -108,6 +108,8 @@ def format_td(td: TreeDecomposition, num_vertices: int) -> str:
 
 def td_violation(graph: Graph, td: TreeDecomposition) -> Optional[str]:
     """First violated decomposition axiom as a message, or None when valid."""
+    if not td.bags:
+        return "a tree decomposition has at least one bag"
     covered = set()
     for bag in td.bags:
         covered |= bag

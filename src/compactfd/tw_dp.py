@@ -17,10 +17,12 @@ hubs, which are zero-valued and never forgotten, so at the root w is the
 value matrix of the whole bundles.  The drivers hand the goal layer
 (`goals`) those matrices as one group per center tuple, with the tuple's
 ball bound; the goal layer opens the groups in the order its goal needs, and
-a tuple it never opens is never annotated (`_TupleSource`).  The tuples are
-swept serially, one at a time, and every goal, ef-po included, gets its own
-goal-layer pass, so each goal keeps its own bounds and order
-(`solve_tw_goals` too).
+a tuple it never opens is never annotated (`_TupleSource`), nor is a tuple
+whose balls miss a vertex under a complete goal.  Every tuple's nice
+decomposition restricts one decomposition of the base graph, made at most
+once per request.  The tuples are swept serially, one at a time, and every
+goal, ef-po included, gets its own goal-layer pass, so each goal keeps its
+own bounds and order (`solve_tw_goals` too).
 
 A label is a depth in the witness tree, which is at least the distance
 inside the bundle and so at least the graph distance from the hub.  Vertex z
@@ -483,19 +485,15 @@ def run_dp(
 
 
 def _nice_for(ann: AnnotatedInstance, base_td: Optional[TreeDecomposition]) -> NiceTreeDecomposition:
-    """Nice decomposition of the annotated graph, from a decomposition of the
-    base graph when one is supplied (bags restricted to surviving vertices;
-    hub edges are covered because hubs are pinned into every bag)."""
-    graph = ann.instance.graph()
+    """Nice decomposition of the annotated graph from a decomposition of the
+    base graph (None: its min-fill decomposition).  The bags are restricted to
+    the kept vertices, which leaves a decomposition of the pruned base, and
+    the hubs are pinned into every bag, which covers their edges."""
     if base_td is None:
-        td = greedy_decompose(graph)
-    else:
-        index_of = {orig: k for k, orig in enumerate(ann.kept)}
-        bags = tuple(
-            frozenset(index_of[v] for v in bag if v in index_of) for bag in base_td.bags
-        )
-        td = TreeDecomposition(bags, base_td.edges)
-    return nicefy(td, graph, anchors=ann.hubs)
+        base_td = greedy_decompose(ann.base.graph())
+    index_of = {orig: k for k, orig in enumerate(ann.kept)}
+    bags = tuple(frozenset(index_of[v] for v in bag if v in index_of) for bag in base_td.bags)
+    return nicefy(TreeDecomposition(bags, base_td.edges), ann.instance.graph(), anchors=ann.hubs)
 
 
 def _check_input(instance: Instance, spec: CompactnessSpec, max_tuples: Optional[int]):
@@ -510,13 +508,10 @@ def _check_input(instance: Instance, spec: CompactnessSpec, max_tuples: Optional
 
 
 def _sweep(instance: Instance, beta: int, centers: tuple, complete: bool,
-           td: Optional[TreeDecomposition]) -> Optional[RootTable]:
-    """The DP over one center tuple's annotated instance, or None when a
-    complete goal skips the tuple (its pruning drops a vertex, which can then
-    never be allocated)."""
+           td: Optional[TreeDecomposition]) -> RootTable:
+    """The DP over one center tuple's annotated instance, on the nice
+    decomposition `_nice_for` makes from `td`."""
     ann = build_annotated(instance, centers, beta)
-    if complete and not ann.prunes_nothing:
-        return None
     return run_dp(ann, _nice_for(ann, td), complete=complete)
 
 
@@ -536,20 +531,22 @@ class _TupleSource:
     """Candidates for the goal layer: one group per center tuple, in
     `center_tuples` order (see `goals`).  Opening a group annotates its tuple
     and runs the DP; its candidates are the sorted root matrices, keyed by
-    (centers, complete).  Under a complete goal a tuple whose pruning drops a
-    vertex opens empty, before any DP (a dropped vertex can never be
-    allocated).  Every `tw-dp` answer goes through this one serial sweep, so
-    a first-hit goal stops at its hit.
+    (centers, complete).  Every `tw-dp` answer goes through this one serial
+    sweep, so a first-hit goal stops at its hit.
 
     A group's bound is the tuple's ball bound: bundle j only holds vertices
     within beta of C_j, so no root matrix exceeds ub[p * n + j] = agent p's
     value for the union of the balls around C_j.  It is computed when the
-    group is yielded, from every vertex's ball computed once per source.
+    group is listed, from every vertex's ball computed once per source.
+    Under a complete goal a tuple whose balls miss a vertex is not listed:
+    that vertex can never be allocated.
 
-    The witness for the group being read comes off its live table; any other
-    key re-runs its tuple's DP (`_witness`).  A tuple's tables are dropped
-    once its matrices are read, so a full pass (mms) holds one tuple's tables
-    at a time.
+    Every tuple's decomposition restricts one base decomposition (`_nice_for`),
+    the `td` given or else the base graph's min-fill one, made when the first
+    tuple is opened.  The witness for the group being read comes off its live
+    table; any other key re-runs its tuple's DP (`_witness`).  A tuple's
+    tables are dropped once its matrices are read, so a full pass (mms) holds
+    one tuple's tables at a time.
     """
 
     def __init__(self, instance, spec, td):
@@ -560,16 +557,19 @@ class _TupleSource:
 
     def groups(self, complete: bool):
         for centers in center_tuples(self.instance, self.spec.alpha):
-            yield self._bound(centers), partial(self._matrices, centers, complete)
+            reach = [frozenset().union(*(self._balls[c] for c in cs)) for cs in centers]
+            if complete and len(frozenset().union(*reach)) < self.instance.m:
+                continue
+            ub = tuple(sum(row[v] for v in r) for row in self.instance.values for r in reach)
+            yield ub, partial(self._matrices, centers, complete)
 
-    def _bound(self, centers) -> tuple[int, ...]:
-        reach = [frozenset().union(*(self._balls[c] for c in cs)) for cs in centers]
-        return tuple(sum(row[v] for v in r) for row in self.instance.values for r in reach)
+    def _base_td(self) -> TreeDecomposition:
+        if self.td is None:
+            self.td = greedy_decompose(self.instance.graph())
+        return self.td
 
     def _matrices(self, centers, complete: bool):
-        table = _sweep(self.instance, self.spec.beta, centers, complete, self.td)
-        if table is None:
-            return
+        table = _sweep(self.instance, self.spec.beta, centers, complete, self._base_td())
         key = (centers, complete)
         self._live = (key, table)
         for w in sorted(table.root_weights()):
@@ -581,7 +581,7 @@ class _TupleSource:
             table = self._live[1]
             return lift_allocation(table.ann, table.extract(table.root_state_for(w)))
         centers, complete = key
-        return _witness(self.instance, self.spec, centers, w, complete, self.td)
+        return _witness(self.instance, self.spec, centers, w, complete, self._base_td())
 
 
 def mms_tw_all(

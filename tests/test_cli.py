@@ -197,13 +197,52 @@ def test_solve_accepts_jobs_one_as_a_no_op(tmp_path, capsys):
 def test_solve_rejects_a_td_that_no_method_reads(method, tmp_path, capsys):
     path = tmp_path / "p.json"
     path.write_text(json.dumps({"m": 2, "edges": [[0, 1]], "agents": [{"values": [1, 1]}]}))
+    for td in (str(tmp_path / "missing.td"), ""):  # an empty path is a path too
+        rc = main(["solve", str(path), "--goal", "prop", "--alpha", "1", "--beta", "1",
+                   "--method", method, "--td", td])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "--td" in lines[0]
+
+
+def test_solve_tw_dp_rejects_an_empty_td_path(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"m": 2, "edges": [[0, 1]], "agents": [{"values": [1, 1]}]}))
     rc = main(["solve", str(path), "--goal", "prop", "--alpha", "1", "--beta", "1",
-               "--method", method, "--td", str(tmp_path / "missing.td")])
+               "--method", "tw-dp", "--td", ""])
     assert rc == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error:") and "--td" in lines[0]
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("goal, alpha, beta", [
+    ("prop", 1, 1), ("mms", 1, 1), ("welfare", 1, 1), ("ef-complete", 1, 1),
+    ("ef-complete", 1, 2),
+])
+def test_solve_prints_the_same_with_and_without_the_decompose_td(goal, alpha, beta, tmp_path,
+                                                                   capsys):
+    # without --td every tuple restricts the base graph's min-fill
+    # decomposition, which is what `decompose` writes
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({
+        "m": 9,
+        "edges": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 7], [7, 8], [6, 8], [1, 3]],
+        "agents": [{"values": [3, 0, 2, 2, 0, 3, 4, 1, 1]}, {"values": [3, 3, 1, 2, 1, 2, 4, 0, 0]}],
+    }))
+    td = tmp_path / "p.td"
+    assert main(["decompose", str(path), "--out", str(td)]) == 0
+    capsys.readouterr()
+    argv = ["solve", str(path), "--goal", goal, "--alpha", str(alpha), "--beta", str(beta),
+            "--method", "tw-dp"]
+    runs = []
+    for extra in ([], ["--td", str(td)]):
+        assert main(argv + extra) == 0
+        runs.append(capsys.readouterr().out)
+    assert runs[0] == runs[1]
 
 
 def test_solve_uses_the_external_td(tmp_path, capsys, monkeypatch):

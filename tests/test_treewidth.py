@@ -50,6 +50,13 @@ def test_validate_td_diagnostics():
         (frozenset({0, 1}), frozenset({1, 2}), frozenset({0})), ((0, 1), (1, 2))
     )
     assert "not connected" in td_violation(g, disconnected)
+    # a tree has at least one node, even for the empty graph
+    no_bags = parse_td("s td 0 0 0\n")
+    assert no_bags == TreeDecomposition((), ())
+    assert "at least one bag" in td_violation(Graph([]), no_bags)
+    assert not validate_td(Graph([]), no_bags)
+    with pytest.raises(ValueError):
+        nicefy(no_bags, Graph([]))
 
 
 def test_greedy_widths():

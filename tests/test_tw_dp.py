@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,7 +20,7 @@ from compactfd import tw_dp
 from compactfd.annotate import build_annotated, center_tuples, count_center_tuples
 from compactfd.compactness import ball, induced_subgraph, is_annotated
 from compactfd.model import FairnessGoal, bundle_value, is_proportional
-from compactfd.treewidth import TreeDecomposition, nicefy
+from compactfd.treewidth import TreeDecomposition, greedy_decompose, nicefy
 from compactfd.tw_dp import _nice_for, _sort_blocks, acyclic_join, solve_tw_goals
 
 from conftest import random_instance
@@ -234,16 +235,57 @@ def test_bound_check_passes_every_tuple_holding_an_answer():
     held = dict.fromkeys([FairnessGoal.PROPORTIONAL, FairnessGoal.EF_COMPLETE,
                           FairnessGoal.MAX_WELFARE], 0)
     for inst, spec in _small_cases(95, 10):
-        source = tw_dp._TupleSource(inst, spec, None)
+        graph, n = inst.graph(), inst.n
         for goal in held:
+            complete = goal is FairnessGoal.EF_COMPLETE
             accept, necessary = goal_layer.accepts(inst, goal), goal_layer.bound_check(inst, goal)
             for centers in center_tuples(inst, spec.alpha):
-                table = tw_dp._sweep(inst, spec.beta, centers, goal is FairnessGoal.EF_COMPLETE,
-                                     None)
-                if table is not None and any(map(accept, table.root_weights())):
+                reach = [set().union(*(ball(graph, c, spec.beta) for c in cs)) for cs in centers]
+                if complete and len(set().union(*reach)) < inst.m:
+                    continue  # a vertex outside every ball is never allocated
+                ub = [sum(inst.values[p][v] for v in reach[j]) for p in range(n) for j in range(n)]
+                table = tw_dp._sweep(inst, spec.beta, centers, complete, None)
+                if any(map(accept, table.root_weights())):
                     held[goal] += 1
-                    assert necessary(source._bound(centers)), (goal, inst.values, centers)
+                    assert necessary(ub), (goal, inst.values, centers)
     assert all(held.values()), held
+
+
+def test_one_base_decomposition_per_answer_and_no_pruned_tuple_annotated(monkeypatch):
+    calls = Counter()
+    pruning = []  # annotated instances that prune a vertex, per answer
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def annotate(*args, _fn=tw_dp.build_annotated):
+        ann = _fn(*args)
+        calls["annotate"] += 1
+        if not ann.prunes_nothing:
+            pruning.append(ann)
+        return ann
+
+    monkeypatch.setattr(tw_dp, "greedy_decompose", counted("decompose", tw_dp.greedy_decompose))
+    monkeypatch.setattr(tw_dp, "run_dp", counted("dp", tw_dp.run_dp))
+    monkeypatch.setattr(tw_dp, "build_annotated", annotate)
+    # on the edgeless instance every ef-complete tuple misses a vertex
+    edgeless = (Instance(4, [], [[1, 2, 3, 4], [4, 3, 2, 1]]), CompactnessSpec(1, 1))
+    closed = dict.fromkeys(FairnessGoal, 0)  # answers that opened no tuple
+    for inst, spec in [edgeless] + _small_cases(96, 10):
+        for goal in FairnessGoal:
+            for td in (None, greedy_decompose(inst.graph())):
+                calls.clear()
+                pruning.clear()
+                tw_dp.answer_tw(inst, spec, goal, td=td)
+                want = int(td is None and calls["dp"] > 0)
+                assert calls["decompose"] == want, (goal, inst.values, spec, dict(calls))
+                if goal is FairnessGoal.EF_COMPLETE:
+                    assert calls["annotate"] == calls["dp"] and not pruning
+                closed[goal] += calls["dp"] == 0
+    assert closed[FairnessGoal.EF_COMPLETE] > 0
 
 
 def test_tuple_skip_changes_no_answer(monkeypatch):
