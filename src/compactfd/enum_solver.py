@@ -1,12 +1,13 @@
 """Bounded-degree enumeration solver.
 
 Every compact bundle sits inside the union of at most alpha balls around its
-cover centers, so enumerating center tuples and then subsets of their ball
-unions reaches every compact bundle.  Candidate bundles are re-checked with
-the recognizer (a subset of a ball union need not be compact in its own
+cover centers, so enumerating center tuples and then subsets of their maximal
+ball unions reaches every compact bundle.  Candidate bundles are re-checked
+with the recognizer (a subset of a ball union need not be compact in its own
 induced subgraph) and deduplicated, then combined disjointly across agents.
-The fairness goals are answered by `goals` from the value matrices of the
-enumerated allocations.
+`goals` answers the fairness goals from their value matrices, in one group per
+first-agent bundle B: as values are nonnegative and bundles disjoint, agent i
+values bundle 0 at v_i(B) and any other at most W_i - v_i(B).
 """
 from __future__ import annotations
 
@@ -32,17 +33,21 @@ def compact_bundles(
     """
     graph = instance.graph()
     balls = {v: ball(graph, v, spec.beta) for v in graph.vertices}
-    unions = [
-        sorted(frozenset().union(*(balls[c] for c in centers)))
+    unions = dict.fromkeys(  # distinct, in center-tuple order
+        frozenset().union(*(balls[c] for c in centers))
         for size in range(0, spec.alpha + 1)
         for centers in itertools.combinations(graph.vertices, size)
-    ]
-    work = sum(1 << len(union) for union in unions)
+    )
+    maximal: list[frozenset[int]] = []  # a union strictly inside another adds nothing
+    for union in sorted(unions, key=len, reverse=True):
+        if not any(union < other for other in maximal):
+            maximal.append(union)
+    work = sum(1 << len(union) for union in maximal)
     if work > budget:
         raise BudgetExceededError(f"candidate scan needs {work} subset checks, budget {budget}")
     cache = BundleCompactnessCache(instance, spec)
     seen: set[frozenset[int]] = set()
-    for union in unions:
+    for union in map(sorted, maximal):
         for k in range(len(union) + 1):
             for sub in itertools.combinations(union, k):
                 bundle = frozenset(sub)
@@ -51,56 +56,72 @@ def compact_bundles(
     return sorted(seen, key=lambda b: (len(b), tuple(sorted(b))))
 
 
+class _BundleSource:
+    """Candidates for the goal layer (see `goals`): one group per compact
+    bundle the first agent can take, in enumeration order.  A candidate's key
+    is its tuple of indices into the `compact_bundles` list, and each bundle's
+    value column is computed once per source.  Under a complete goal the last
+    agent takes only the bundle of the items left, if it is compact.  `budget`
+    also caps the allocations enumerated, over every group opened."""
+
+    def __init__(self, instance: Instance, spec: CompactnessSpec, budget: int):
+        self.bundles = compact_bundles(instance, spec, budget)
+        self.masks = [sum(1 << z for z in b) for b in self.bundles]
+        self.index = {mask: k for k, mask in enumerate(self.masks)}
+        self.columns = [tuple(sum(row[z] for z in b) for row in instance.values) for b in self.bundles]
+        self.totals = [sum(row) for row in instance.values]
+        self.n, self.full, self.budget = instance.n, (1 << instance.m) - 1, budget
+        self.enumerated = 0
+
+    def _options(self, depth: int, used: int, pool, complete: bool):
+        """The bundles agent `depth` can take from `pool` once `used` is taken."""
+        if complete and depth == self.n - 1:
+            last = self.index.get(self.full & ~used)
+            return () if last is None else (last,)
+        return [k for k in pool if not self.masks[k] & used]
+
+    def _keys(self, key: tuple, used: int, pool, complete: bool) -> Iterator[tuple]:
+        """Every key extending `key` (the first agents' bundles, `used` their
+        items) in enumeration order, each later agent choosing from `pool`."""
+        if len(key) == self.n:
+            self.enumerated += 1
+            if self.enumerated > self.budget:
+                raise BudgetExceededError(f"more than {self.budget} compact allocations")
+            yield key
+            return
+        pool = self._options(len(key), used, pool, complete)
+        for k in pool:
+            yield from self._keys(key + (k,), used | self.masks[k], pool, complete)
+
+    def groups(self, complete: bool):
+        """The first level of `_keys`: one group per first bundle B.  Agent i
+        values bundle 0 at v_i(B), and the other bundles avoid B and values are
+        nonnegative, so each is worth at most W_i - v_i(B) to agent i."""
+        n, totals = self.n, self.totals
+        pool = self._options(0, 0, range(len(self.bundles)), complete)
+        for k in pool:
+            col = self.columns[k]
+            ub = tuple(col[i] if j == 0 else totals[i] - col[i] for i in range(n) for j in range(n))
+            yield ub, partial(self._matrices, (k,), self.masks[k], pool, complete)
+
+    def _matrices(self, first: tuple, used: int, pool, complete: bool):
+        columns = self.columns
+        for key in self._keys(first, used, pool, complete):
+            # zip(*columns) gives the rows of w: one agent's values across the bundles
+            yield sum(zip(*[columns[k] for k in key]), ()), key
+
+    def witness(self, key: tuple, _w=None) -> Allocation:
+        return Allocation(tuple(self.bundles[k] for k in key))
+
+
 def enumerate_compact_allocations(
     instance: Instance, spec: CompactnessSpec, budget: int = DEFAULT_WORK_BUDGET
 ) -> Iterator[Allocation]:
-    """Yield every spec-compact allocation exactly once, deterministically."""
-    bundles = compact_bundles(instance, spec, budget)
-    masks = [sum(1 << z for z in b) for b in bundles]
-    n = instance.n
-    chosen: list[frozenset[int]] = []
-    yielded = 0
-
-    def rec(agent: int, used: int, pool: list[int]):
-        nonlocal yielded
-        if agent == n:
-            yielded += 1
-            if yielded > budget:
-                raise BudgetExceededError(f"more than {budget} compact allocations")
-            yield Allocation(tuple(chosen))
-            return
-        remaining = [k for k in pool if not (masks[k] & used)]
-        for k in remaining:
-            chosen.append(bundles[k])
-            yield from rec(agent + 1, used | masks[k], remaining)
-            chosen.pop()
-
-    yield from rec(0, 0, list(range(len(bundles))))
-
-
-def _matrices(instance: Instance, spec: CompactnessSpec, budget: int, complete: bool):
-    """Candidates for the goal layer: each enumerated compact allocation (only
-    complete ones if `complete`) with its value matrix, keyed by itself.
-    Each bundle's value column is computed once per pass."""
-    rows, m = instance.values, instance.m
-    columns: dict[frozenset[int], tuple[int, ...]] = {}
-    for alloc in enumerate_compact_allocations(instance, spec, budget):
-        if complete and sum(map(len, alloc.bundles)) != m:
-            continue
-        per_bundle = []
-        for bundle in alloc.bundles:
-            col = columns.get(bundle)
-            if col is None:
-                col = columns[bundle] = tuple(sum(row[z] for z in bundle) for row in rows)
-            per_bundle.append(col)
-        # zip(*columns) gives the rows of w: one agent's values across the bundles
-        yield sum(zip(*per_bundle), ()), alloc
-
-
-def _groups(instance: Instance, spec: CompactnessSpec, budget: int, complete: bool):
-    """The enumeration as a single group without a bound: no bound here is
-    cheaper than the matrices themselves."""
-    return [(None, partial(_matrices, instance, spec, budget, complete))]
+    """Yield every spec-compact allocation exactly once, deterministically:
+    the groups of `_BundleSource` flattened in order."""
+    source = _BundleSource(instance, spec, budget)
+    for key in source._keys((), 0, range(len(source.bundles)), False):
+        yield source.witness(key)
 
 
 def answer_enum(
@@ -113,9 +134,8 @@ def answer_enum(
     is none), and for mms every agent's maximin share from the same pass (None
     for other goals).  ef-po uses the exhaustive utility-vector dominance
     check, so it is only sensible at oracle scale."""
-    return goals.solve(
-        instance, goal, partial(_groups, instance, spec, budget), lambda alloc, _w: alloc
-    )
+    source = _BundleSource(instance, spec, budget)
+    return goals.solve(instance, goal, source.groups, source.witness)
 
 
 def solve_enum(
@@ -132,4 +152,4 @@ def mms_enum(
     instance: Instance, spec: CompactnessSpec, budget: int = DEFAULT_WORK_BUDGET
 ) -> list[int]:
     """Maximin share per agent, computed from a full enumeration pass."""
-    return goals.maximin(instance, _groups(instance, spec, budget, False))
+    return goals.maximin(instance, _BundleSource(instance, spec, budget).groups(False))

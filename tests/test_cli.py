@@ -100,6 +100,7 @@ def test_mms_solve_takes_shares_from_its_own_pass(method, tmp_path, capsys, monk
         (oracle, "mms_all"),
         (enum_solver, "mms_enum"),
         (enum_solver, "enumerate_compact_allocations"),
+        (enum_solver, "compact_bundles"),
     ]
     for module, name in passes:
         def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
@@ -114,8 +115,8 @@ def test_mms_solve_takes_shares_from_its_own_pass(method, tmp_path, capsys, monk
     assert out["mms"] == shares
     expected = {
         "oracle": {"mms_all": 1},
-        # the enum goal layer reads one enumeration pass
-        "enum": {"enumerate_compact_allocations": 1},
+        # the enum goal layer reads one candidate list, grouped by first bundle
+        "enum": {"compact_bundles": 1},
         # best bound first: the shares open 6 of the 31 center tuples; then 3
         # tuples ranked before the best kept matrix are swept for the answer,
         # and the last yields it off its live table (no _witness re-run)

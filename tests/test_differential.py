@@ -1,12 +1,21 @@
 """Property-based differential tests: on tiny instances, every exact solver
 must agree with the oracle where it applies (enum and tw-dp on non-strong
 specs, matching on (1, 0), the path DP on paths with alpha = 1), and every
-"yes" must meet its goal by the model's own predicates."""
-from hypothesis import given, settings
+"yes" must meet its goal by the model's own predicates.  enum must also
+return exactly the first allocation of its own plain stream that meets the
+goal, strong specs included."""
+from operator import le
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from compactfd import CompactnessSpec, Instance, is_compact_allocation
-from compactfd.enum_solver import answer_enum
+from compactfd import CompactnessSpec, Instance, goals, is_compact_allocation
+from compactfd.enum_solver import (
+    DEFAULT_WORK_BUDGET,
+    _BundleSource,
+    answer_enum,
+    enumerate_compact_allocations,
+)
 from compactfd.matching import mms_10, solve_mms_10, solve_prop_10
 from compactfd.model import (
     FairnessGoal,
@@ -103,6 +112,42 @@ def test_enum_ef_po_agrees_with_the_oracle(case):
         assert shares is None
         assert (got is None) == (want is None), solver.__name__
         assert got is None or meets(inst, spec, FairnessGoal.EF_PARETO, got), solver.__name__
+
+
+def value_matrix(inst, alloc):
+    return tuple(bundle_value(inst, i, b) for i in range(inst.n) for b in alloc.bundles)
+
+
+# the group bounds decide which allocations enum reads, never which it returns;
+# the two n = 1 examples pin ef-complete when the first agent is the last
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(cases(max_agents=3, max_items=6), st.booleans())
+@example((Instance(2, [(0, 1)], [[1, 2]]), CompactnessSpec(1, 0)), False)
+@example((Instance(2, [(0, 1)], [[1, 2]]), CompactnessSpec(1, 1)), False)
+def test_enum_answers_with_the_first_match_of_its_stream(case, strong):
+    inst, spec = case
+    spec = CompactnessSpec(spec.alpha, spec.beta, strong)
+    stream = list(enumerate_compact_allocations(inst, spec))
+    complete = [alloc for alloc in stream if is_complete(inst, alloc)]
+    shares = mms_all(inst, spec)
+    for goal in FairnessGoal:
+        if goal is FairnessGoal.EF_PARETO and inst.m > 5:
+            continue
+        accept = goals.accepts(inst, goal, shares)
+        candidates = complete if goal is FairnessGoal.EF_COMPLETE else stream
+        want = next((a for a in candidates if accept(value_matrix(inst, a))), None)
+        got, got_shares = answer_enum(inst, spec, goal)
+        assert got == want, goal
+        assert got_shares == (shares if goal is FairnessGoal.MAXIMIN else None), goal
+    # every group's bound holds, and the groups in order are the stream
+    for flag, want in ((False, stream), (True, complete)):
+        source = _BundleSource(inst, spec, DEFAULT_WORK_BUDGET)
+        flat = []
+        for ub, matrices in source.groups(flag):
+            for w, key in matrices():
+                flat.append(source.witness(key, w))
+                assert w == value_matrix(inst, flat[-1]) and all(map(le, w, ub))
+        assert flat == want
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)

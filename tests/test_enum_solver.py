@@ -11,6 +11,7 @@ from compactfd import (
     solve_enum,
     solve_oracle,
 )
+from compactfd import goals
 from compactfd.compactness import BundleCompactnessCache
 from compactfd.enum_solver import compact_bundles, mms_enum
 from compactfd.model import FairnessGoal, is_proportional
@@ -98,3 +99,41 @@ def test_budget_guard():
     inst = Instance(8, [], [[1] * 8, [1] * 8])
     with pytest.raises(BudgetExceededError):
         compact_bundles(inst, CompactnessSpec(3, 2), budget=10)
+    # both budgets count work done: the 4 maximal ball unions of 3 items, and
+    # the 5 allocations (of 151) in the groups that the prop bound lets through
+    inst = Instance(6, [(v, v + 1) for v in range(5)], [[1, 3, 2, 4, 2, 1], [0, 2, 2, 2, 1, 3]])
+    assert solve_enum(inst, CompactnessSpec(1, 1), FairnessGoal.PROPORTIONAL, budget=32) is None
+    with pytest.raises(BudgetExceededError):
+        solve_enum(inst, CompactnessSpec(1, 1), FairnessGoal.PROPORTIONAL, budget=31)
+    with pytest.raises(BudgetExceededError):
+        list(enumerate_compact_allocations(inst, CompactnessSpec(1, 1), budget=150))
+
+
+def test_group_bounds_leave_matrices_unread(monkeypatch):
+    read = []
+
+    def counted(groups):
+        def wrapped(complete):
+            for ub, matrices in groups(complete):
+                def opened(_matrices=matrices):
+                    for candidate in _matrices():
+                        read.append(candidate)
+                        yield candidate
+                yield ub, opened
+        return wrapped
+
+    solve = goals.solve
+    monkeypatch.setattr(
+        goals, "solve", lambda inst, goal, groups, witness: solve(inst, goal, counted(groups), witness)
+    )
+    path = [(v, v + 1) for v in range(5)]
+    spec = CompactnessSpec(1, 1)
+    for values, goal, found in (
+        ([[1, 3, 2, 4, 2, 1], [0, 2, 2, 2, 1, 3]], FairnessGoal.PROPORTIONAL, False),
+        ([[2, 4, 1, 1, 3, 4], [4, 3, 3, 1, 1, 1]], FairnessGoal.MAXIMIN, True),
+    ):
+        inst = Instance(6, path, values)
+        read.clear()
+        assert (solve_enum(inst, spec, goal) is not None) == found
+        # 5 and 36 of the 151 compact allocations
+        assert len(read) < len(list(enumerate_compact_allocations(inst, spec)))
