@@ -4,14 +4,13 @@ An exact solver lists its compact allocations as `groups(complete)`, an
 iterable of groups `(ub, matrices)` in the solver's canonical order.
 `matrices()` opens a group: it yields `(w, key)` in the group's own order,
 where w is the flat row-major n x n value matrix (w[i * n + j] is agent i's
-value for bundle j) and `witness(key, w)` rebuilds the allocation.  `ub` is
-a matrix with w <= ub componentwise for every w of the group, or None when
-the group has no bound.  It is a value, computed when the group is listed; a
-source that lists its groups lazily never builds those a goal does not
-reach.  With `complete` set, only allocations that allocate every item are
-listed; every other goal is a question about w alone (ef-po compares the
-diagonal with all utility vectors, as Pareto-optimality quantifies over all
-allocations).
+value for bundle j) and `witness(key, w)` rebuilds the allocation.  Every
+group carries a bound: `ub` is a matrix with w <= ub componentwise for every
+w of the group.  It is a value, computed when the group is listed; a source
+that lists its groups lazily never builds those a goal does not reach.  With
+`complete` set, only allocations that allocate every item are listed; every
+other goal is a question about w alone (ef-po compares the diagonal with all
+utility vectors, as Pareto-optimality quantifies over all allocations).
 
 The answer is the first accepted candidate of the stream that opens every
 group in canonical order.  prop, welfare and meeting the mms shares are
@@ -49,7 +48,7 @@ from .oracle import _dominated, distinct_utility_vectors
 
 Matrix = tuple[int, ...]
 Candidates = Iterable[tuple[Matrix, Hashable]]
-Group = tuple[Optional[Matrix], Callable[[], Candidates]]
+Group = tuple[Matrix, Callable[[], Candidates]]
 
 
 def _envy_free(w: Matrix, n: int) -> bool:
@@ -91,26 +90,20 @@ def bound_check(instance: Instance, goal: FairnessGoal) -> Optional[Callable[[Ma
 
 
 def _shares_pass(instance: Instance, groups: list[Group]):
-    """Phase 1: the shares, every group's bound, the ranks of the groups
-    opened, and the best kept candidate as (rank, position, w, key), or None
-    when no candidate seen meets the shares."""
+    """Phase 1: the shares, the ranks of the groups opened, and the best kept
+    candidate as (rank, position, w, key), or None when no candidate seen
+    meets the shares."""
     n = instance.n
     shares = [0] * n
     meets = accepts(instance, FairnessGoal.MAXIMIN, shares)  # reads the running shares
-    bounds = [ub for ub, _ in groups]
     floors = [  # per group: the row minima of its bound, which cap its row minima
-        None if ub is None else [min(ub[i * n : (i + 1) * n]) for i in range(n)]
-        for ub in bounds
+        [min(ub[i * n : (i + 1) * n]) for i in range(n)] for ub, _ in groups
     ]
-    order = sorted(  # groups without a bound first, then best bound first
-        range(len(groups)),
-        key=lambda r: (floors[r] is not None, -sum(floors[r] or ()), r),
-    )
+    order = sorted(range(len(groups)), key=lambda r: (-sum(floors[r]), r))  # best bound first
     kept = []  # (rank, position, w, key) of each candidate meeting the running shares
     opened = set()
     for rank in order:
-        floor = floors[rank]
-        if floor is not None and all(f <= s for f, s in zip(floor, shares)):
+        if all(f <= s for f, s in zip(floors[rank], shares)):
             continue  # cannot raise a share, now or later
         opened.add(rank)
         for pos, (w, key) in enumerate(groups[rank][1]()):
@@ -119,7 +112,7 @@ def _shares_pass(instance: Instance, groups: list[Group]):
             if meets(w):
                 kept.append((rank, pos, w, key))
     best = min((b for b in kept if meets(b[2])), key=lambda b: b[:2], default=None)
-    return shares, bounds, opened, best
+    return shares, opened, best
 
 
 def maximin(instance: Instance, groups: Iterable[Group]) -> list[int]:
@@ -131,12 +124,11 @@ def maximin(instance: Instance, groups: Iterable[Group]) -> list[int]:
 def _solve_mms(
     instance: Instance, groups: list[Group], witness: Callable[[Hashable, Matrix], Allocation]
 ) -> tuple[Optional[Allocation], list[int]]:
-    shares, bounds, opened, best = _shares_pass(instance, groups)
+    shares, opened, best = _shares_pass(instance, groups)
     accept = accepts(instance, FairnessGoal.MAXIMIN, shares)
-    # phase 2: unopened groups ranked before the best kept candidate (every
-    # group without a bound was opened in phase 1)
+    # phase 2: unopened groups ranked before the best kept candidate
     for rank in range(len(groups) if best is None else best[0]):
-        if rank in opened or not accept(bounds[rank]):
+        if rank in opened or not accept(groups[rank][0]):
             continue
         for w, key in groups[rank][1]():
             if accept(w):
@@ -160,7 +152,7 @@ def solve(
         return _solve_mms(instance, list(groups(False)), witness)
     accept, necessary = accepts(instance, goal), bound_check(instance, goal)
     for ub, matrices in groups(goal is FairnessGoal.EF_COMPLETE):
-        if necessary is not None and ub is not None and not necessary(ub):
+        if necessary is not None and not necessary(ub):
             continue
         for w, key in matrices():
             if accept(w):

@@ -30,11 +30,15 @@ is therefore introduced for agent i only with labels
 max(1, d_G(hub_i, z)) .. beta: a smaller label could never reach the root,
 so leaving it out shrinks the tables and leaves the root slice unchanged.
 
-State keys are nested tuples: per agent (S, f, blocks, roots) with S sorted,
-f aligned to S, blocks sorted by first member, roots sorted; w is a flat
-row-major tuple.  That canonical encoding makes states hashable and the
-sweep deterministic.  The transitions rely on it: they re-sort only the
-blocks they change.
+State keys are nested tuples: per agent (S, f, r) with S sorted and f and r
+aligned to S, where r[k] is the root of the witness component holding S[k],
+so a root is its own entry; w is a flat row-major tuple.  The root map is
+the whole rooted partition (Cygan et al., Parameterized Algorithms, 2015,
+ch. 7), so every transition is a tuple edit: a take inserts z as its own
+root, a forget cuts a vertex that is no root, an edge relabels the upper
+end's block to the lower end's root, and a join merges two root maps
+(`acyclic_join`).  The encoding is canonical, so states are hashable and the
+sweep deterministic.
 
 The states of one node differ mostly in w, so each transition computes its
 bag-local update (the new agent tuples) once per distinct agent tuple of its
@@ -43,6 +47,7 @@ call; tables, their order and their back-pointers are as without it.
 """
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from functools import partial
 from operator import add
@@ -73,7 +78,7 @@ from .treewidth import (
     nicefy,
 )
 
-AgentState = tuple  # (S, f, blocks, roots)
+AgentState = tuple  # (S, f, r)
 StateKey = tuple  # (agents, w)
 _UNSEEN = object()  # memo miss, where None is a memoised answer
 
@@ -82,21 +87,18 @@ _UNSEEN = object()  # memo miss, where None is a memoised answer
 # rooted partitions
 
 
-def _block_of(blocks: tuple, z: int) -> tuple:
-    for blk in blocks:
-        if z in blk:
-            return blk
-    raise KeyError(z)
+def acyclic_join(s: tuple, r1: tuple, r2: tuple) -> Optional[tuple]:
+    """Acyclic join of two rooted partitions of s, or None.
 
-
-def _sort_blocks(blocks: Iterable[tuple]) -> tuple:
-    # blocks are disjoint, so sorting them as tuples sorts them by first member
-    return tuple(sorted(tuple(sorted(b)) for b in blocks))
-
-
-def _join_partition(s: tuple, blocks1: tuple, blocks2: tuple) -> tuple:
-    """Finest common coarsening of two partitions of s (lattice join)."""
-    parent = {v: v for v in s}
+    A rooted partition is a root map aligned with s: r[k] is the root of the
+    block holding s[k].  Joining each vertex to its root on both sides merges
+    two forests, which must stay acyclic.  The joined roots are the common
+    roots, and each joined block must hold exactly one; the result is the
+    joined root map.  An acyclic merge has |R1| + |R2| - |s| blocks, no more
+    than the common roots, so a join without a block holding two of them
+    gives every block exactly one.
+    """
+    parent = dict(zip(s, s))
 
     def find(x):
         while parent[x] != x:
@@ -104,42 +106,18 @@ def _join_partition(s: tuple, blocks1: tuple, blocks2: tuple) -> tuple:
             x = parent[x]
         return x
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for blocks in (blocks1, blocks2):
-        for blk in blocks:
-            for v in blk[1:]:
-                union(blk[0], v)
-    groups: dict[int, list[int]] = {}
-    for v in s:
-        groups.setdefault(find(v), []).append(v)
-    return _sort_blocks(groups.values())
-
-
-def acyclic_join(
-    s: tuple, blocks1: tuple, roots1: tuple, blocks2: tuple, roots2: tuple
-) -> Optional[tuple[tuple, tuple]]:
-    """Acyclic join of two rooted partitions of s, or None.
-
-    Any graphical representation of a partition is a forest with |s| - #blocks
-    edges, so the merge of two representations is acyclic iff the joined
-    partition has |blocks1| + |blocks2| - |s| blocks.  The joined roots are
-    the common roots; each block must end up with exactly one.
-    """
-    want = len(blocks1) + len(blocks2) - len(s)
-    roots = tuple(sorted(set(roots1) & set(roots2)))
-    if len(roots) != want:
-        return None  # one root per joined block cannot hold
-    joined = _join_partition(s, blocks1, blocks2)
-    if len(joined) != want:
-        return None
-    for blk in joined:
-        if sum(1 for r in roots if r in blk) != 1:
-            return None
-    return joined, roots
+    for r in (r1, r2):
+        for v, root in zip(s, r):
+            if v != root:
+                a, b = find(v), find(root)
+                if a == b:
+                    return None  # the merged forests close a cycle
+                parent[a] = b
+    root_of = {}
+    for v, a, b in zip(s, r1, r2):
+        if v == a == b and root_of.setdefault(find(v), v) != v:
+            return None  # a joined block with two roots
+    return tuple(root_of[find(v)] for v in s)
 
 
 # ---------------------------------------------------------------------------
@@ -173,25 +151,23 @@ def leaf_states(ctx: DPContext) -> dict[StateKey, tuple]:
     """The single reachable state at a leaf: each hub alone in its bundle,
     nothing forgotten yet."""
     n = ctx.n
-    agents = tuple(
-        ((ctx.hubs[i],), (0,), ((ctx.hubs[i],),), (ctx.hubs[i],)) for i in range(n)
-    )
+    agents = tuple(((ctx.hubs[i],), (0,), (ctx.hubs[i],)) for i in range(n))
     return {(agents, (0,) * (n * n)): ("leaf",)}
 
 
 def _take_vertex(agents: tuple, z: int, movers: list) -> list:
     """Bag-local part of introducing z: per agent i that may take it, the
-    agent tuples for each label it may get, in label order."""
+    agent tuples for each label it may get, in label order.  z comes in as
+    the root of its own block."""
     takes = []
     for i, labels in movers:
-        s_i, f_i, blocks, roots = agents[i]
-        new_s = tuple(sorted(s_i + (z,)))
-        pos = new_s.index(z)
-        new_blocks = tuple(sorted(blocks + ((z,),)))
-        new_roots = tuple(sorted(roots + (z,)))
+        s_i, f_i, r_i = agents[i]
+        pos = bisect(s_i, z)
+        new_s = s_i[:pos] + (z,) + s_i[pos:]
+        new_r = r_i[:pos] + (z,) + r_i[pos:]
         head, tail = agents[:i], agents[i + 1 :]
         options = [
-            head + ((new_s, f_i[:pos] + (fv,) + f_i[pos:], new_blocks, new_roots),) + tail
+            head + ((new_s, f_i[:pos] + (fv,) + f_i[pos:], new_r),) + tail
             for fv in labels
         ]
         takes.append((i, options))
@@ -228,24 +204,19 @@ def introduce_vertex_transition(
 def _forget_vertex(agents: tuple, z: int, columns: list) -> Optional[tuple]:
     """Bag-local part of forgetting z: the new agent tuple and the value
     column z adds to w (its owner's entry of `columns`, None when z is
-    unallocated), or None when the owner's component would lose its root or
-    its last bag vertex."""
-    for owner, (s_i, f_i, blocks, roots) in enumerate(agents):
+    unallocated), or None when z is its component's root.  A vertex alone in
+    its block is that block's root, so a component never loses its last bag
+    vertex either."""
+    for owner, (s_i, f_i, r_i) in enumerate(agents):
         if z in s_i:
             break
     else:
         return agents, None
-    if z in roots:
-        return None  # the component would lose its distance anchor
-    blk = _block_of(blocks, z)
-    if len(blk) == 1:
-        return None  # a component may never lose its last bag vertex
     pos = s_i.index(z)
-    new_s = s_i[:pos] + s_i[pos + 1 :]
-    new_f = f_i[:pos] + f_i[pos + 1 :]
-    new_blocks = tuple(sorted(tuple(v for v in b if v != z) if b is blk else b for b in blocks))
-    new_agents = agents[:owner] + ((new_s, new_f, new_blocks, roots),) + agents[owner + 1 :]
-    return new_agents, columns[owner]
+    if r_i[pos] == z:
+        return None  # the component would lose its distance anchor
+    cut = (s_i[:pos] + s_i[pos + 1 :], f_i[:pos] + f_i[pos + 1 :], r_i[:pos] + r_i[pos + 1 :])
+    return agents[:owner] + (cut,) + agents[owner + 1 :], columns[owner]
 
 
 def forget_transition(
@@ -275,26 +246,20 @@ def forget_transition(
 def _add_edge(agents: tuple, z1: int, z2: int) -> Optional[tuple]:
     """Bag-local part of introducing edge z1-z2: the agent tuple with the
     edge in the witness forest of the agent owning both ends, or None when
-    no agent can use it."""
-    for i, (s_i, f_i, blocks, roots) in enumerate(agents):
+    no agent can use it.  The upper end must be its own root and the lower
+    end in another block, whose root then roots the merged block."""
+    for i, (s_i, f_i, r_i) in enumerate(agents):
         if z1 not in s_i or z2 not in s_i:
             continue
-        f1, f2 = f_i[s_i.index(z1)], f_i[s_i.index(z2)]
-        if abs(f1 - f2) != 1:
+        k1, k2 = s_i.index(z1), s_i.index(z2)
+        if abs(f_i[k1] - f_i[k2]) != 1:
             return None
-        low, high = (z1, z2) if f1 < f2 else (z2, z1)
-        if high not in roots:
+        low, high = (k1, k2) if f_i[k1] < f_i[k2] else (k2, k1)
+        top, root = s_i[high], r_i[low]
+        if r_i[high] != top or root == top:
             return None
-        blk_low = _block_of(blocks, low)
-        blk_high = _block_of(blocks, high)
-        if blk_low is blk_high:
-            return None
-        merged = tuple(sorted(blk_low + blk_high))
-        new_blocks = tuple(
-            sorted([merged] + [b for b in blocks if b is not blk_low and b is not blk_high])
-        )
-        new_roots = tuple(r for r in roots if r != high)
-        return agents[:i] + ((s_i, f_i, new_blocks, new_roots),) + agents[i + 1 :]
+        new_r = tuple(root if r == top else r for r in r_i)
+        return agents[:i] + ((s_i, f_i, new_r),) + agents[i + 1 :]
     return None  # the endpoints belong to at most one common agent
 
 
@@ -324,8 +289,8 @@ def _join_agents(key: tuple, left: tuple, right: tuple, memo: dict) -> Optional[
     for (s_i, f_i), agent_l, agent_r in zip(key, left, right):
         got = memo.get((agent_l, agent_r), _UNSEEN)
         if got is _UNSEEN:
-            part = acyclic_join(s_i, agent_l[2], agent_l[3], agent_r[2], agent_r[3])
-            got = memo[(agent_l, agent_r)] = None if part is None else (s_i, f_i, *part)
+            r = acyclic_join(s_i, agent_l[2], agent_r[2])
+            got = memo[(agent_l, agent_r)] = None if r is None else (s_i, f_i, r)
         if got is None:
             return None
         joined.append(got)

@@ -3,6 +3,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compactfd import (
     CompactnessSpec,
@@ -21,9 +23,17 @@ from compactfd.annotate import build_annotated, center_tuples, count_center_tupl
 from compactfd.compactness import ball, induced_subgraph, is_annotated
 from compactfd.model import FairnessGoal, bundle_value, is_proportional
 from compactfd.treewidth import TreeDecomposition, greedy_decompose, nicefy
-from compactfd.tw_dp import _nice_for, _sort_blocks, acyclic_join, solve_tw_goals
+from compactfd.tw_dp import _nice_for, acyclic_join, solve_tw_goals
 
 from conftest import random_instance
+
+
+def root_map(s, part) -> tuple:
+    """The root map (aligned with sorted `s`) of a rooted partition of `s`
+    given as a (blocks, roots) pair."""
+    blocks, roots = part
+    root_of = {v: r for blk in blocks for r in roots if r in blk for v in blk}
+    return tuple(root_of[v] for v in s)
 
 
 def acyclic_join_check(s, part1, part2, part) -> bool:
@@ -33,11 +43,8 @@ def acyclic_join_check(s, part1, part2, part) -> bool:
     of `s`.
     """
     s = tuple(sorted(s))
-    blocks1, roots1 = _sort_blocks(part1[0]), tuple(sorted(part1[1]))
-    blocks2, roots2 = _sort_blocks(part2[0]), tuple(sorted(part2[1]))
-    blocks, roots = _sort_blocks(part[0]), tuple(sorted(part[1]))
-    got = acyclic_join(s, blocks1, roots1, blocks2, roots2)
-    return got is not None and got == (blocks, roots)
+    got = acyclic_join(s, root_map(s, part1), root_map(s, part2))
+    return got is not None and got == root_map(s, part)
 
 
 def test_acyclic_join_examples():
@@ -51,6 +58,53 @@ def test_acyclic_join_examples():
     )
     singles = ((("a",), ("b",)), ("a", "b"))
     assert acyclic_join_check(s, singles, singles, singles)
+
+
+@st.composite
+def rooted_partitions(draw, s):
+    """A random partition of `s` with a random root per block, as a root map."""
+    labels = [draw(st.integers(0, max(len(s) - 1, 0))) for _ in s]
+    roots = {lab: draw(st.sampled_from([v for v, b in zip(s, labels) if b == lab])) for lab in labels}
+    return tuple(roots[lab] for lab in labels)
+
+
+@st.composite
+def join_inputs(draw):
+    s = tuple(sorted(draw(st.sets(st.integers(0, 9), max_size=6))))
+    return s, draw(rooted_partitions(s)), draw(rooted_partitions(s))
+
+
+def reference_join(s, r1, r2):
+    """Merge the two star forests (each vertex joined to its block's root) with
+    a plain union-find: None on a cycle, or when some merged component does not
+    hold exactly one vertex that is a root on both sides."""
+    comp = {v: v for v in s}
+
+    def find(v):
+        while comp[v] != v:
+            v = comp[v]
+        return v
+
+    for r in (r1, r2):
+        for v, root in zip(s, r):
+            if v == root:
+                continue
+            a, b = find(v), find(root)
+            if a == b:
+                return None
+            comp[a] = b
+    common = [v for v, a, b in zip(s, r1, r2) if v == a == b]
+    members = Counter(find(v) for v in common)
+    if any(members[find(v)] != 1 for v in s):
+        return None
+    return tuple(next(c for c in common if find(c) == find(v)) for v in s)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(join_inputs())
+def test_acyclic_join_matches_merged_star_forests(case):
+    s, r1, r2 = case
+    assert acyclic_join(s, r1, r2) == reference_join(s, r1, r2)
 
 
 def test_hand_trace_two_vertex():
@@ -298,8 +352,12 @@ def test_tuple_skip_changes_no_answer(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    def open_all(self, complete):  # no bounds: every group opens, in canonical order
-        return [(None, group) for _ub, group in groups(self, complete)]
+    def open_all(self, complete):
+        # each agent's total in every column of its row: a bound no goal
+        # rejects, and phase 1 of mms opens the groups in canonical order
+        n = self.instance.n
+        totals = tuple(sum(row) for row in self.instance.values for _ in range(n))
+        return [(totals, group) for _ub, group in groups(self, complete)]
 
     def logged(self, centers, complete):
         seen = []
@@ -408,7 +466,7 @@ def test_transition_level_hand_trace():
     assert len(base) == 1
     (leaf_state,) = base
     agents, w = leaf_state
-    assert agents == (((hub,), (0,), ((hub,),), (hub,)),)
+    assert agents == (((hub,), (0,), (hub,)),)
     assert w == (0,)
     # a state with a nonzero hub value is never produced at a leaf
     assert all(state[1] == (0,) for state in base)
@@ -420,15 +478,15 @@ def test_transition_level_hand_trace():
     assert len(takes) == 1
     take = takes[0]
     assert take[1] == (0,)  # a vertex's value enters w only when it is forgotten
-    s0, f0, blocks0, roots0 = take[0][0]
-    assert s0 == (0, hub) and blocks0 == ((0,), (hub,)) and set(roots0) == {0, hub}
+    s0, f0, r0 = take[0][0]
+    assert s0 == (0, hub) and r0 == (0, hub)  # two blocks, each its own root
 
     after_e = introduce_edge_transition(after_v, (0, hub), ctx)
     merged = [
-        s for s in after_e if len(s[0][0][2]) == 1 and s[0][0][0] == (0, hub)
+        s for s in after_e if s[0][0][0] == (0, hub) and len(set(s[0][0][2])) == 1
     ]
     assert len(merged) == 1
-    assert merged[0][0][0][3] == (hub,)  # the non-root endpoint lost its root
+    assert merged[0][0][0][2] == (hub, hub)  # the non-root endpoint lost its root
 
     after_f = forget_transition(after_e, 0, ctx)
     # the unmerged take dies (its block {0} is a singleton with 0 as root);
@@ -460,7 +518,7 @@ def test_forget_kills_rootless_components():
     ctx = DPContext(ann, complete=False)
     hub = ann.hubs[0]
     # a state where vertex 0 sits in its own block rooted at itself
-    state = ((((0, hub), (1, 0), ((0,), (hub,)), (0, hub)),), (5,))
+    state = ((((0, hub), (1, 0), (0, hub)),), (5,))
     out = forget_transition({state: ("leaf",)}, 0, ctx)
     assert out == {}
 
