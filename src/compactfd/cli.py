@@ -56,8 +56,13 @@ from .treewidth import format_td, greedy_decompose, parse_td, validate_td
 GOALS = {g.value: g for g in FairnessGoal}
 
 
-def _spec_from(args) -> CompactnessSpec:
-    return CompactnessSpec(args.alpha, args.beta, getattr(args, "strong", False))
+def _spec_from(args, instance: Instance) -> CompactnessSpec:
+    """The flags' spec, alpha clamped to max(m, 2) and beta to max(m - 1, 1),
+    which names the same class: k <= m items need at most k centers or groups,
+    and a bound of m - 1 covers any connected bundle.  The floors keep the
+    dispatch tests on (1, 0) and alpha == 1 as they were."""
+    alpha, beta = min(args.alpha, max(instance.m, 2)), min(args.beta, max(instance.m - 1, 1))
+    return CompactnessSpec(alpha, beta, getattr(args, "strong", False))
 
 
 def _emit(obj) -> None:
@@ -139,15 +144,15 @@ def _solve_with(method: str, instance: Instance, spec: CompactnessSpec,
 
 def cmd_recognize(args) -> int:
     instance = load_instance(args.instance)
-    graph = instance.graph()
-    if args.strong:
-        cover = is_strongly_compact(graph, args.alpha, args.beta)
+    graph, spec = instance.graph(), _spec_from(args, instance)
+    if spec.strong:
+        cover = is_strongly_compact(graph, spec.alpha, spec.beta)
         if cover is None:
             _emit({"compact": False})
         else:
             _emit({"compact": True, "cover": [sorted(g) for g in cover.groups]})
     else:
-        witness = is_compact(graph, args.alpha, args.beta)
+        witness = is_compact(graph, spec.alpha, spec.beta)
         if witness is None:
             _emit({"compact": False})
         else:
@@ -159,7 +164,7 @@ def cmd_solve(args) -> int:
     if args.jobs != 1:
         raise ValueError(f"--jobs must be 1, got {args.jobs}")
     instance = load_instance(args.instance)
-    spec = _spec_from(args)
+    spec = _spec_from(args, instance)
     goal = GOALS[args.goal]
     method = args.method if args.method != "auto" else _auto_method(instance, spec, goal)
     if args.td is not None and method != "tw-dp":
@@ -213,7 +218,7 @@ def _mms_with(method: str, instance: Instance, spec: CompactnessSpec, agent: int
 
 def cmd_mms(args) -> int:
     instance = load_instance(args.instance)
-    spec = _spec_from(args)
+    spec = _spec_from(args, instance)
     if args.method == "matching" and (spec.alpha, spec.beta) != (1, 0):
         raise ValueError("the matching method computes mms for alpha=1, beta=0 only")
     value = _mms_with(args.method, instance, spec, args.agent, args)

@@ -16,28 +16,23 @@ The answer is the first accepted candidate of the stream that opens every
 group in canonical order.  prop, welfare and meeting the mms shares are
 upward closed (if w is accepted, so is every matrix above it), so a group
 whose bound is not accepted holds no accepted matrix and is never opened.
-prop and welfare walk the groups in order and skip those.  ef-complete is
-not upward closed, but its accepted matrices are proportional, and so is
-their bound: every item is allocated, so row i of w sums to agent i's total
-W_i, and envy-freeness makes w[i,i] the row's largest entry, so
-n * ub[i,i] >= n * w[i,i] >= W_i.  So ef-complete skips the groups whose
-bound fails prop.  ef-po reads no bound.
+prop, welfare and mms (once it has the shares, below) walk the groups in
+order and skip those.  ef-complete is not upward closed, but its accepted
+matrices are proportional, and so is their bound: every item is allocated,
+so row i of w sums to agent i's total W_i, and envy-freeness makes w[i,i]
+the row's largest entry, so n * ub[i,i] >= n * w[i,i] >= W_i.  So
+ef-complete skips the groups whose bound fails prop.  ef-po reads no bound.
 
-mms takes two phases, best bound first (Land and Doig, Econometrica 28(3),
-1960).  Phase 1 (`maximin`) finds the shares.  It opens the groups in
-descending order of the sum of their bound's row minima, ties by canonical
-rank, and skips every group that cannot raise a running share (no row
-minimum of its bound above that share).  Shares only grow, so a skipped
-group could not raise one later either, and the shares are those of the full
-stream.  Every candidate that meets the running shares goes on a list with
-its (rank, position); a matrix that meets the final shares met them wherever
-it was seen, so the best kept candidate is the listed one of smallest (rank,
-position) that meets the final shares.  Phase 2 finds the answer.  An
-accepted matrix that comes before the best kept one can only sit in an
-unopened group of lower rank whose bound meets the shares; those groups are
-opened in canonical order, and the first accepted matrix there is the
-answer.  Without one, the answer is the best kept matrix.  The oracle
-keeps its own loops, as the reference the solvers are tested against.
+mms first finds the shares (`maximin`), best bound first (Land and Doig,
+Econometrica 28(3), 1960).  It opens the groups in descending order of the
+sum of their bound's row minima, ties by canonical rank, and skips every
+group that cannot raise a running share (no row minimum of its bound above
+that share).  Shares only grow, so a skipped group could not raise one later
+either, and the shares are those of the full stream.  The answer walk then
+tests bounds and matrices against those shares.  It may open a group the
+share pass opened already, so a source that pays to open a group keeps its
+matrices (`tw_dp._TupleSource`).  The oracle keeps its own loops, as the
+reference the solvers are tested against.
 """
 from __future__ import annotations
 
@@ -80,8 +75,9 @@ def accepts(
 
 
 def bound_check(instance: Instance, goal: FairnessGoal) -> Optional[Callable[[Matrix], bool]]:
-    """The necessary test `solve` makes on a group's bound (None: the goal
-    reads no bound): prop for prop and ef-complete, welfare for welfare."""
+    """The necessary test `solve` makes on a group's bound: prop for prop and
+    ef-complete, welfare for welfare.  None for ef-po, which reads no bound,
+    and for mms, whose bound test is its accept test on the shares."""
     if goal in (FairnessGoal.PROPORTIONAL, FairnessGoal.MAX_WELFARE):
         return accepts(instance, goal)
     if goal is FairnessGoal.EF_COMPLETE:
@@ -89,54 +85,22 @@ def bound_check(instance: Instance, goal: FairnessGoal) -> Optional[Callable[[Ma
     return None
 
 
-def _shares_pass(instance: Instance, groups: list[Group]):
-    """Phase 1: the shares, the ranks of the groups opened, and the best kept
-    candidate as (rank, position, w, key), or None when no candidate seen
-    meets the shares."""
+def maximin(instance: Instance, groups: Iterable[Group]) -> list[int]:
+    """Every agent's maximin share (the best worst-bundle value the agent can
+    get), opening the groups best bound first."""
     n = instance.n
+    groups = list(groups)
     shares = [0] * n
-    meets = accepts(instance, FairnessGoal.MAXIMIN, shares)  # reads the running shares
     floors = [  # per group: the row minima of its bound, which cap its row minima
         [min(ub[i * n : (i + 1) * n]) for i in range(n)] for ub, _ in groups
     ]
-    order = sorted(range(len(groups)), key=lambda r: (-sum(floors[r]), r))  # best bound first
-    kept = []  # (rank, position, w, key) of each candidate meeting the running shares
-    opened = set()
-    for rank in order:
+    for rank in sorted(range(len(groups)), key=lambda r: (-sum(floors[r]), r)):
         if all(f <= s for f, s in zip(floors[rank], shares)):
             continue  # cannot raise a share, now or later
-        opened.add(rank)
-        for pos, (w, key) in enumerate(groups[rank][1]()):
+        for w, _key in groups[rank][1]():
             for i in range(n):
                 shares[i] = max(shares[i], min(w[i * n : (i + 1) * n]))
-            if meets(w):
-                kept.append((rank, pos, w, key))
-    best = min((b for b in kept if meets(b[2])), key=lambda b: b[:2], default=None)
-    return shares, opened, best
-
-
-def maximin(instance: Instance, groups: Iterable[Group]) -> list[int]:
-    """Every agent's maximin share (the best worst-bundle value the agent can
-    get): phase 1 alone."""
-    return _shares_pass(instance, list(groups))[0]
-
-
-def _solve_mms(
-    instance: Instance, groups: list[Group], witness: Callable[[Hashable, Matrix], Allocation]
-) -> tuple[Optional[Allocation], list[int]]:
-    shares, opened, best = _shares_pass(instance, groups)
-    accept = accepts(instance, FairnessGoal.MAXIMIN, shares)
-    # phase 2: unopened groups ranked before the best kept candidate
-    for rank in range(len(groups) if best is None else best[0]):
-        if rank in opened or not accept(groups[rank][0]):
-            continue
-        for w, key in groups[rank][1]():
-            if accept(w):
-                return witness(key, w), shares
-    if best is None:
-        return None, shares
-    _rank, _pos, w, key = best
-    return witness(key, w), shares
+    return shares
 
 
 def solve(
@@ -148,13 +112,16 @@ def solve(
     """The first candidate allocation meeting the goal (None if there is
     none), and for mms every agent's maximin share from the same pass (None
     for other goals)."""
+    listed, shares = groups(goal is FairnessGoal.EF_COMPLETE), None
     if goal is FairnessGoal.MAXIMIN:
-        return _solve_mms(instance, list(groups(False)), witness)
-    accept, necessary = accepts(instance, goal), bound_check(instance, goal)
-    for ub, matrices in groups(goal is FairnessGoal.EF_COMPLETE):
+        listed = list(listed)  # read twice: for the shares, then for the answer
+        shares = maximin(instance, listed)
+    accept = accepts(instance, goal, shares)
+    necessary = accept if shares is not None else bound_check(instance, goal)
+    for ub, matrices in listed:
         if necessary is not None and not necessary(ub):
             continue
         for w, key in matrices():
             if accept(w):
-                return witness(key, w), None
-    return None, None
+                return witness(key, w), shares
+    return None, shares

@@ -75,24 +75,24 @@ def parse_td(text: str) -> TreeDecomposition:
     if header is None:
         raise ValueError("missing header")
     nbags = header[0]
+    # the node edges must form a tree: nbags - 1 edges (counted first, so a
+    # huge header allocates nothing) and no cycle
+    if nbags > 0 and len(edges) != nbags - 1:
+        raise ValueError("node edges do not form a tree")
     bag_list = tuple(bags.get(i + 1, frozenset()) for i in range(nbags))
-    # the node edges must form a tree (connected and acyclic) when nbags > 1
-    if nbags > 0:
-        parent = list(range(nbags))
+    parent = list(range(nbags))
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
 
-        for a, b in edges:
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                raise ValueError("node edges contain a cycle")
-            parent[ra] = rb
-        if len(edges) != nbags - 1:
-            raise ValueError("node edges do not form a tree")
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            raise ValueError("node edges contain a cycle")
+        parent[ra] = rb
     return TreeDecomposition(bag_list, tuple(edges))
 
 

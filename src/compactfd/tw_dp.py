@@ -20,9 +20,9 @@ ball bound; the goal layer opens the groups in the order its goal needs, and
 a tuple it never opens is never annotated (`_TupleSource`), nor is a tuple
 whose balls miss a vertex under a complete goal.  Every tuple's nice
 decomposition restricts one decomposition of the base graph, made at most
-once per request.  The tuples are swept serially, one at a time, and every
-goal, ef-po included, gets its own goal-layer pass, so each goal keeps its
-own bounds and order (`solve_tw_goals` too).
+once per request.  The tuples are swept serially, at most once per source;
+every goal, ef-po included, gets its own goal-layer pass with its own bounds
+and order (`solve_tw_goals` runs those passes over one shared source).
 
 A label is a depth in the witness tree, which is at least the distance
 inside the bundle and so at least the graph distance from the hub.  Vertex z
@@ -246,8 +246,9 @@ def forget_transition(
 def _add_edge(agents: tuple, z1: int, z2: int) -> Optional[tuple]:
     """Bag-local part of introducing edge z1-z2: the agent tuple with the
     edge in the witness forest of the agent owning both ends, or None when
-    no agent can use it.  The upper end must be its own root and the lower
-    end in another block, whose root then roots the merged block."""
+    no agent can use it.  The upper end must be its own root; its block joins
+    the lower end's, whose root roots the merged block.  A root carries its
+    block's least label, so the lower end is never in the upper end's block."""
     for i, (s_i, f_i, r_i) in enumerate(agents):
         if z1 not in s_i or z2 not in s_i:
             continue
@@ -256,7 +257,7 @@ def _add_edge(agents: tuple, z1: int, z2: int) -> Optional[tuple]:
             return None
         low, high = (k1, k2) if f_i[k1] < f_i[k2] else (k2, k1)
         top, root = s_i[high], r_i[low]
-        if r_i[high] != top or root == top:
+        if r_i[high] != top:
             return None
         new_r = tuple(root if r == top else r for r in r_i)
         return agents[:i] + ((s_i, f_i, new_r),) + agents[i + 1 :]
@@ -480,14 +481,9 @@ def _sweep(instance: Instance, beta: int, centers: tuple, complete: bool,
     return run_dp(ann, _nice_for(ann, td), complete=complete)
 
 
-def _witness(
-    instance: Instance,
-    spec: CompactnessSpec,
-    centers,
-    w: tuple[int, ...],
-    complete: bool,
-    base_td: Optional[TreeDecomposition],
-) -> Allocation:
+def _witness(instance: Instance, spec: CompactnessSpec, centers, w: tuple[int, ...],
+             complete: bool, base_td: Optional[TreeDecomposition]) -> Allocation:
+    """The allocation of root matrix w, from a re-run of its tuple's DP."""
     table = _sweep(instance, spec.beta, centers, complete, base_td)
     return lift_allocation(table.ann, table.extract(table.root_state_for(w)))
 
@@ -508,17 +504,20 @@ class _TupleSource:
 
     Every tuple's decomposition restricts one base decomposition (`_nice_for`),
     the `td` given or else the base graph's min-fill one, made when the first
-    tuple is opened.  The witness for the group being read comes off its live
-    table; any other key re-runs its tuple's DP (`_witness`).  A tuple's
-    tables are dropped once its matrices are read, so a full pass (mms) holds
-    one tuple's tables at a time.
+    tuple is opened.  A group may be opened twice (mms reads it for the shares
+    and for the answer; `solve_tw_goals` shares one source across goals), so
+    each swept key keeps its sorted root matrices and is never swept again.
+    A freshly swept group's witness comes off its live table; any other key
+    re-runs its tuple's DP (`_witness`).  Tables are dropped once read, so a
+    pass holds one tuple's tables at a time.
     """
 
     def __init__(self, instance, spec, td):
         self.instance, self.spec, self.td = instance, spec, td
         graph = instance.graph()
         self._balls = {v: ball(graph, v, spec.beta) for v in graph.vertices}
-        self._live = None  # (key, table) of the tuple being read
+        self._swept: dict[tuple, list] = {}  # (centers, complete) -> sorted root matrices
+        self._live = None  # (key, table) of the tuple being swept
 
     def groups(self, complete: bool):
         for centers in center_tuples(self.instance, self.spec.alpha):
@@ -534,10 +533,13 @@ class _TupleSource:
         return self.td
 
     def _matrices(self, centers, complete: bool):
-        table = _sweep(self.instance, self.spec.beta, centers, complete, self._base_td())
         key = (centers, complete)
-        self._live = (key, table)
-        for w in sorted(table.root_weights()):
+        matrices = self._swept.get(key)
+        if matrices is None:
+            table = _sweep(self.instance, self.spec.beta, centers, complete, self._base_td())
+            self._live = (key, table)
+            matrices = self._swept[key] = sorted(table.root_weights())
+        for w in matrices:
             yield w, key
         self._live = None
 
@@ -555,8 +557,8 @@ def mms_tw_all(
     td: Optional[TreeDecomposition] = None,
     max_tuples: Optional[int] = None,
 ) -> list[int]:
-    """Maximin share of every agent: the goal layer's share pass (phase 1)
-    over the annotated instances."""
+    """Maximin share of every agent: the goal layer's share pass over the
+    annotated instances."""
     _check_input(instance, spec, max_tuples)
     return goal_layer.maximin(instance, _TupleSource(instance, spec, td).groups(False))
 
@@ -610,5 +612,8 @@ def solve_tw_goals(
     instance: Instance, spec: CompactnessSpec, goals: Iterable[FairnessGoal]
 ) -> dict[FairnessGoal, Optional[Allocation]]:
     """Each goal's `solve_tw` answer: one goal-layer pass per goal, with that
-    goal's bounds and order."""
-    return {goal: solve_tw(instance, spec, goal) for goal in goals}
+    goal's bounds and order, over one shared `_TupleSource`, so a tuple is
+    swept at most once per (centers, complete) key."""
+    _check_input(instance, spec, None)
+    source = _TupleSource(instance, spec, None)
+    return {g: goal_layer.solve(instance, g, source.groups, source.witness)[0] for g in goals}

@@ -1,4 +1,6 @@
+import argparse
 import json
+import resource
 import subprocess
 import sys
 from collections import Counter
@@ -9,7 +11,7 @@ from compactfd import cli, enum_solver, oracle, tw_dp
 from compactfd.annotate import count_center_tuples
 from compactfd.cli import main
 from compactfd.oracle import mms_oracle
-from compactfd.model import Allocation, CompactnessSpec, instance_from_dict
+from compactfd.model import Allocation, CompactnessSpec, Instance, instance_from_dict
 from compactfd.compactness import is_compact_allocation
 from compactfd.model import is_proportional
 
@@ -117,9 +119,10 @@ def test_mms_solve_takes_shares_from_its_own_pass(method, tmp_path, capsys, monk
         "oracle": {"mms_all": 1},
         # the enum goal layer reads one candidate list, grouped by first bundle
         "enum": {"compact_bundles": 1},
-        # best bound first: the shares open 6 of the 31 center tuples; then 3
-        # tuples ranked before the best kept matrix are swept for the answer,
-        # and the last yields it off its live table (no _witness re-run)
+        # best bound first: the shares open 6 of the 31 center tuples; the
+        # answer walk then re-reads those from memory and sweeps 3 unopened
+        # tuples, the last of which yields the answer off its live table (no
+        # _witness re-run)
         "tw-dp": {"run_dp": 9},
     }
     assert dict(calls) == expected[method]
@@ -385,6 +388,64 @@ def test_module_entry_point():
     assert proc.returncode == 0
     data = json.loads(proc.stdout)
     assert data["m"] == 2
+
+
+def _one_cpu_second_in_1_gib():
+    resource.setrlimit(resource.RLIMIT_CPU, (1, 1))
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_spec_clamp_floors_keep_the_dispatch_flags():
+    # a one-item instance keeps alpha 1 and beta 1 (not (1, 0), which picks
+    # matching), and larger flags fall to the floors 2 and 1
+    one, path = Instance(1, [], [[1]]), Instance(4, [(0, 1), (1, 2), (2, 3)], [[1] * 4])
+    cases = [(one, 1, 1, (1, 1)), (one, 1, 0, (1, 0)), (one, 3, 5, (2, 1)),
+             (path, 100, 100, (4, 3)), (path, 2, 2, (2, 2))]
+    for inst, alpha, beta, want in cases:
+        spec = cli._spec_from(argparse.Namespace(alpha=alpha, beta=beta), inst)
+        assert (spec.alpha, spec.beta) == want, (inst.m, alpha, beta)
+
+
+HUGE = {
+    # name: (the subcommand and its flags, the exit code, the flag and value
+    # of the clamped spec)
+    "td-header": (["solve", "--goal", "prop", "--alpha", "1", "--beta", "1",
+                   "--method", "tw-dp", "--td", "{td}"], 2, None),
+    "alpha-enum": (["solve", "--goal", "prop", "--alpha", "100000000", "--beta", "1",
+                    "--method", "enum"], 0, ("--alpha", "4")),
+    "beta-tw-dp": (["solve", "--goal", "prop", "--alpha", "1", "--beta", "100000000",
+                    "--method", "tw-dp"], 0, ("--beta", "3")),
+    "alpha-mms-tw-dp": (["mms", "--agent", "0", "--alpha", "100000000", "--beta", "1",
+                         "--method", "tw-dp"], 0, ("--alpha", "4")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HUGE))
+def test_huge_inputs_answer_or_exit_2_within_a_cpu_second(name, tmp_path, capsys):
+    # one child process at a time, under 1 GiB of address space and 1 s of
+    # CPU time: work that grows with the .td header or with alpha or beta is
+    # killed there instead of filling the machine
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({
+        "m": 4, "edges": [[0, 1], [1, 2], [2, 3]],
+        "agents": [{"values": [1, 2, 3, 4]}, {"values": [4, 3, 2, 1]}],
+    }))
+    td = tmp_path / "huge.td"
+    td.write_text("s td 99999999999 4 4\nb 1 1\n")
+    args, code, clamped = HUGE[name]
+    argv = [args[0], str(path)] + [a.format(td=td) for a in args[1:]]
+    proc = subprocess.run([sys.executable, "-m", "compactfd", *argv], capture_output=True,
+                          text=True, timeout=20, preexec_fn=_one_cpu_second_in_1_gib)
+    assert proc.returncode == code, proc.stderr
+    if code == 2:
+        assert proc.stdout == "" and proc.stderr.startswith("error:")
+        assert proc.stderr.count("\n") == 1
+        return
+    # the clamp keeps the compact class, so the answer is the clamped spec's
+    flag, value = clamped
+    at = argv.index(flag)
+    assert main(argv[: at + 1] + [value] + argv[at + 2 :]) == 0
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_gen_club_cli(capsys):

@@ -3,13 +3,15 @@ must agree with the oracle where it applies (enum and tw-dp on non-strong
 specs, matching on (1, 0), the path DP on paths with alpha = 1), and every
 "yes" must meet its goal by the model's own predicates.  enum must also
 return exactly the first allocation of its own plain stream that meets the
-goal, strong specs included."""
+goal, strong specs included, and so must tw-dp: the first accepted root
+matrix of its per-tuple DPs, read in tuple order."""
 from operator import le
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from compactfd import CompactnessSpec, Instance, goals, is_compact_allocation
+from compactfd import CompactnessSpec, Instance, goals, is_compact_allocation, lift_allocation
+from compactfd.annotate import build_annotated, center_tuples
 from compactfd.enum_solver import (
     DEFAULT_WORK_BUDGET,
     _BundleSource,
@@ -28,7 +30,7 @@ from compactfd.model import (
 )
 from compactfd.oracle import mms_all, solve_oracle
 from compactfd.path_dp import PathInstance, solve_prop_path_agents
-from compactfd.tw_dp import answer_tw, mms_tw_all
+from compactfd.tw_dp import _nice_for, answer_tw, mms_tw_all, run_dp, solve_tw_goals
 
 FIRST_HIT = (FairnessGoal.PROPORTIONAL, FairnessGoal.EF_COMPLETE, FairnessGoal.MAX_WELFARE)
 
@@ -148,6 +150,42 @@ def test_enum_answers_with_the_first_match_of_its_stream(case, strong):
                 flat.append(source.witness(key, w))
                 assert w == value_matrix(inst, flat[-1]) and all(map(le, w, ub))
         assert flat == want
+
+
+def plain_tw_stream(inst, spec, complete):
+    """Every center tuple's sorted root matrices, each with its root table,
+    in `center_tuples` order; a complete goal reads no tuple whose balls
+    miss a vertex."""
+    for centers in center_tuples(inst, spec.alpha):
+        ann = build_annotated(inst, centers, spec.beta)
+        if complete and not ann.prunes_nothing:
+            continue
+        table = run_dp(ann, _nice_for(ann, None), complete)
+        yield from ((w, table) for w in sorted(table.root_weights()))
+
+
+# the group bounds, the best-bound-first share pass and the kept root matrices
+# decide which tuples tw-dp sweeps, never which allocation it returns
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(cases())
+def test_tw_dp_answers_with_the_first_match_of_its_plain_stream(case):
+    inst, spec = case
+    shares = mms_all(inst, spec)
+    streams = {flag: list(plain_tw_stream(inst, spec, flag)) for flag in (False, True)}
+    answers = {}
+    for goal in FairnessGoal:
+        accept = goals.accepts(inst, goal, shares)
+        stream = streams[goal is FairnessGoal.EF_COMPLETE]
+        hit = next(((w, table) for w, table in stream if accept(w)), None)
+        want = None
+        if hit is not None:
+            w, table = hit
+            want = lift_allocation(table.ann, table.extract(table.root_state_for(w)))
+        got, got_shares = answer_tw(inst, spec, goal)
+        assert got == want, goal
+        assert got_shares == (shares if goal is FairnessGoal.MAXIMIN else None), goal
+        answers[goal] = got
+    assert solve_tw_goals(inst, spec, FairnessGoal) == answers
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)

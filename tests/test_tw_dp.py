@@ -305,6 +305,31 @@ def test_bound_check_passes_every_tuple_holding_an_answer():
     assert all(held.values()), held
 
 
+def test_solve_tw_goals_sweeps_each_key_once(monkeypatch):
+    # the goals share one source: a (centers, complete) key is swept once, and
+    # again only by a _witness re-run, at most one per yes answer
+    swept, rerun = [], []
+
+    def dp(ann, nice, complete=False, _fn=tw_dp.run_dp):
+        swept.append((ann.centers, complete))
+        return _fn(ann, nice, complete)
+
+    def witness(instance, spec, centers, w, complete, base_td, _fn=tw_dp._witness):
+        rerun.append((centers, complete))
+        return _fn(instance, spec, centers, w, complete, base_td)
+
+    monkeypatch.setattr(tw_dp, "run_dp", dp)
+    monkeypatch.setattr(tw_dp, "_witness", witness)
+    for inst, spec in _small_cases(97, 8):
+        swept.clear()
+        rerun.clear()
+        answers = solve_tw_goals(inst, spec, list(FairnessGoal))
+        assert len(rerun) <= sum(alloc is not None for alloc in answers.values())
+        sweeps = Counter(swept)
+        sweeps.subtract(rerun)
+        assert set(sweeps.values()) == {1}, (inst.values, spec)
+
+
 def test_one_base_decomposition_per_answer_and_no_pruned_tuple_annotated(monkeypatch):
     calls = Counter()
     pruning = []  # annotated instances that prune a vertex, per answer
@@ -354,7 +379,7 @@ def test_tuple_skip_changes_no_answer(monkeypatch):
 
     def open_all(self, complete):
         # each agent's total in every column of its row: a bound no goal
-        # rejects, and phase 1 of mms opens the groups in canonical order
+        # rejects, and the mms share pass opens the groups in canonical order
         n = self.instance.n
         totals = tuple(sum(row) for row in self.instance.values for _ in range(n))
         return [(totals, group) for _ub, group in groups(self, complete)]
@@ -389,15 +414,16 @@ def test_tuple_skip_changes_no_answer(monkeypatch):
         (Instance(5, [(0, 1), (0, 2), (0, 3), (0, 4)], [[6, 4, 4, 3, 0], [1, 1, 2, 2, 4]]),
          CompactnessSpec(2, 0)),
     ]
-    # mms answers found in phase 2 (off the live table), in phase 1 (one
-    # _witness re-run), and from a matrix kept first from a later-rank tuple
-    # and then met again in an earlier one
-    in_phase_2 = (Instance(3, [(0, 1), (1, 2)], [[1, 10, 11], [4, 6, 2]]), CompactnessSpec(1, 0))
-    in_phase_1 = (Instance(3, [(0, 1), (1, 2)], [[5, 6, 1], [7, 4, 8]]), CompactnessSpec(1, 0))
+    # mms answers in a tuple the share pass left unopened (off the live
+    # table), in one it opened (its kept matrices, then one _witness re-run),
+    # and one whose matrix the share pass meets first in a tuple ranked after
+    # the answer's
+    unopened = (Instance(3, [(0, 1), (1, 2)], [[1, 10, 11], [4, 6, 2]]), CompactnessSpec(1, 0))
+    reopened = (Instance(3, [(0, 1), (1, 2)], [[5, 6, 1], [7, 4, 8]]), CompactnessSpec(1, 0))
     kept_again = (Instance(4, [(0, 1), (1, 2), (2, 3)], [[1, 10, 1, 4], [3, 6, 7, 0]]),
                   CompactnessSpec(1, 1))
     witnesses = {}
-    for inst, spec in fixed + [in_phase_2, in_phase_1, kept_again] + _small_cases(92, 12):
+    for inst, spec in fixed + [unopened, reopened, kept_again] + _small_cases(92, 12):
         for goal in goals:
             got, with_skip, witness_calls = answer(inst, spec, goal, True)
             want, without, _ = answer(inst, spec, goal, False)
@@ -409,7 +435,7 @@ def test_tuple_skip_changes_no_answer(monkeypatch):
                 witnesses[inst] = witness_calls
     # every goal that reads the bound skips some tuple
     assert all(total_with[goal] < total_without[goal] for goal in goals), (total_with, total_without)
-    assert witnesses[in_phase_2[0]] == 0 and witnesses[in_phase_1[0]] == 1
+    assert witnesses[unopened[0]] == 0 and witnesses[reopened[0]] == 1
 
     inst, spec = kept_again
     (alloc, _shares), _, _ = answer(inst, spec, FairnessGoal.MAXIMIN, True)
