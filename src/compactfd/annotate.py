@@ -53,10 +53,12 @@ def center_tuples(instance: Instance, alpha: int) -> Iterator[tuple[frozenset[in
     """All tuples (C_1, ..., C_n) of pairwise-disjoint vertex sets, |C_i| <= alpha.
 
     Per-agent subsets are ordered by size then lexicographically; the tuple
-    stream nests agent 1 outermost, so the order is deterministic.
+    stream nests agent 1 outermost, so the order is deterministic.  No set
+    has more than m vertices, so the sizes stop at min(alpha, m).
     """
     verts = list(range(instance.m))
-    subsets = [frozenset(c) for size in range(alpha + 1) for c in itertools.combinations(verts, size)]
+    sizes = range(min(alpha, instance.m) + 1)
+    subsets = [frozenset(c) for size in sizes for c in itertools.combinations(verts, size)]
 
     def rec(agent: int, used: frozenset[int], acc: list[frozenset[int]]):
         if agent == instance.n:

@@ -56,15 +56,6 @@ from .treewidth import format_td, greedy_decompose, parse_td, validate_td
 GOALS = {g.value: g for g in FairnessGoal}
 
 
-def _spec_from(args, instance: Instance) -> CompactnessSpec:
-    """The flags' spec, alpha clamped to max(m, 2) and beta to max(m - 1, 1),
-    which names the same class: k <= m items need at most k centers or groups,
-    and a bound of m - 1 covers any connected bundle.  The floors keep the
-    dispatch tests on (1, 0) and alpha == 1 as they were."""
-    alpha, beta = min(args.alpha, max(instance.m, 2)), min(args.beta, max(instance.m - 1, 1))
-    return CompactnessSpec(alpha, beta, getattr(args, "strong", False))
-
-
 def _emit(obj) -> None:
     print(json.dumps(obj))
 
@@ -144,7 +135,7 @@ def _solve_with(method: str, instance: Instance, spec: CompactnessSpec,
 
 def cmd_recognize(args) -> int:
     instance = load_instance(args.instance)
-    graph, spec = instance.graph(), _spec_from(args, instance)
+    graph, spec = instance.graph(), CompactnessSpec(args.alpha, args.beta, args.strong)
     if spec.strong:
         cover = is_strongly_compact(graph, spec.alpha, spec.beta)
         if cover is None:
@@ -164,7 +155,7 @@ def cmd_solve(args) -> int:
     if args.jobs != 1:
         raise ValueError(f"--jobs must be 1, got {args.jobs}")
     instance = load_instance(args.instance)
-    spec = _spec_from(args, instance)
+    spec = CompactnessSpec(args.alpha, args.beta, args.strong)
     goal = GOALS[args.goal]
     method = args.method if args.method != "auto" else _auto_method(instance, spec, goal)
     if args.td is not None and method != "tw-dp":
@@ -218,7 +209,7 @@ def _mms_with(method: str, instance: Instance, spec: CompactnessSpec, agent: int
 
 def cmd_mms(args) -> int:
     instance = load_instance(args.instance)
-    spec = _spec_from(args, instance)
+    spec = CompactnessSpec(args.alpha, args.beta, args.strong)
     if args.method == "matching" and (spec.alpha, spec.beta) != (1, 0):
         raise ValueError("the matching method computes mms for alpha=1, beta=0 only")
     value = _mms_with(args.method, instance, spec, args.agent, args)

@@ -35,7 +35,7 @@ def compact_bundles(
     balls = {v: ball(graph, v, spec.beta) for v in graph.vertices}
     unions = dict.fromkeys(  # distinct, in center-tuple order
         frozenset().union(*(balls[c] for c in centers))
-        for size in range(0, spec.alpha + 1)
+        for size in range(min(spec.alpha, instance.m) + 1)
         for centers in itertools.combinations(graph.vertices, size)
     )
     maximal: list[frozenset[int]] = []  # a union strictly inside another adds nothing

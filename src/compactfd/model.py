@@ -192,8 +192,6 @@ def utilitarian_welfare(instance: Instance, allocation: Allocation) -> int:
 
 def max_welfare_upper(instance: Instance) -> int:
     """Welfare of a best unconstrained allocation: each item to its top agent."""
-    if instance.n == 1:
-        return sum(instance.values[0])
     return sum(max(instance.values[i][z] for i in range(instance.n)) for z in range(instance.m))
 
 

@@ -54,6 +54,8 @@ def parse_td(text: str) -> TreeDecomposition:
         elif parts[0] == "b":
             if header is None:
                 raise ValueError("bag line before header")
+            if len(parts) < 2:
+                raise ValueError(f"malformed bag line: {line!r}")
             bid = int(parts[1])
             if not (1 <= bid <= header[0]):
                 raise ValueError(f"bag index {bid} out of range")

@@ -25,10 +25,13 @@ every goal, ef-po included, gets its own goal-layer pass with its own bounds
 and order (`solve_tw_goals` runs those passes over one shared source).
 
 A label is a depth in the witness tree, which is at least the distance
-inside the bundle and so at least the graph distance from the hub.  Vertex z
-is therefore introduced for agent i only with labels
-max(1, d_G(hub_i, z)) .. beta: a smaller label could never reach the root,
-so leaving it out shrinks the tables and leaves the root slice unchanged.
+inside the bundle and so at least the graph distance from the hub.  It is
+also at most m, the base item count, since a tree path from the hub passes
+through at most m base items.  Vertex z is therefore introduced for agent i
+only with labels max(1, d_G(hub_i, z)) .. min(beta, m), beta the annotated
+radius: a label outside that range could never reach the root, so leaving
+it out shrinks the tables, bounds them whatever beta is, and leaves the root
+slice unchanged.
 
 State keys are nested tuples: per agent (S, f, r) with S sorted and f and r
 aligned to S, where r[k] is the root of the witness component holding S[k],
@@ -135,7 +138,7 @@ class DPContext:
         inst = self.ann.instance
         self.n = inst.n
         self.values = inst.values
-        self.beta = self.ann.beta
+        self.beta = min(self.ann.beta, self.ann.base.m)  # the largest label
         self.hubs = self.ann.hubs
         graph = inst.graph()
         # per hub: graph distance to every vertex within beta of it

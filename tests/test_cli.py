@@ -1,4 +1,3 @@
-import argparse
 import json
 import resource
 import subprocess
@@ -6,6 +5,8 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from compactfd import cli, enum_solver, oracle, tw_dp
 from compactfd.annotate import count_center_tuples
@@ -395,20 +396,32 @@ def _one_cpu_second_in_1_gib():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def test_spec_clamp_floors_keep_the_dispatch_flags():
-    # a one-item instance keeps alpha 1 and beta 1 (not (1, 0), which picks
-    # matching), and larger flags fall to the floors 2 and 1
-    one, path = Instance(1, [], [[1]]), Instance(4, [(0, 1), (1, 2), (2, 3)], [[1] * 4])
-    cases = [(one, 1, 1, (1, 1)), (one, 1, 0, (1, 0)), (one, 3, 5, (2, 1)),
-             (path, 100, 100, (4, 3)), (path, 2, 2, (2, 2))]
-    for inst, alpha, beta, want in cases:
-        spec = cli._spec_from(argparse.Namespace(alpha=alpha, beta=beta), inst)
-        assert (spec.alpha, spec.beta) == want, (inst.m, alpha, beta)
+def test_spec_clamp_floors_keep_the_dispatch_flags(tmp_path, capsys):
+    # the flags go to the solvers as given; past m they name the class that
+    # alpha max(m, 2) and beta max(m - 1, 1) name, and auto picks the same
+    # method and prints the same answer for both (a one-item instance keeps
+    # (1, 1), which does not pick matching, and (1, 0), which does)
+    one, path = tmp_path / "one.json", tmp_path / "path.json"
+    one.write_text(json.dumps({"m": 1, "edges": [], "agents": [{"values": [1]}]}))
+    path.write_text(json.dumps({"m": 4, "edges": [[0, 1], [1, 2], [2, 3]],
+                                "agents": [{"values": [1, 1, 1, 1]}]}))
+    cases = [(one, (1, 1), (1, 1)), (one, (1, 0), (1, 0)), (one, (3, 5), (2, 1)),
+             (path, (100, 100), (4, 3)), (path, (2, 2), (2, 2))]
+    for inst, flags, in_class in cases:
+        for goal in ("prop", "mms"):
+            printed = []
+            for alpha, beta in (flags, in_class):
+                assert main(["solve", str(inst), "--goal", goal, "--alpha", str(alpha),
+                             "--beta", str(beta)]) == 0
+                out, err = capsys.readouterr()
+                assert err.startswith("method: ") and err.count("\n") == 1
+                printed.append((out, err))
+            assert printed[0] == printed[1], (inst.name, flags, goal)
 
 
 HUGE = {
     # name: (the subcommand and its flags, the exit code, the flag and value
-    # of the clamped spec)
+    # that name the same class within m)
     "td-header": (["solve", "--goal", "prop", "--alpha", "1", "--beta", "1",
                    "--method", "tw-dp", "--td", "{td}"], 2, None),
     "alpha-enum": (["solve", "--goal", "prop", "--alpha", "100000000", "--beta", "1",
@@ -432,7 +445,7 @@ def test_huge_inputs_answer_or_exit_2_within_a_cpu_second(name, tmp_path, capsys
     }))
     td = tmp_path / "huge.td"
     td.write_text("s td 99999999999 4 4\nb 1 1\n")
-    args, code, clamped = HUGE[name]
+    args, code, in_class = HUGE[name]
     argv = [args[0], str(path)] + [a.format(td=td) for a in args[1:]]
     proc = subprocess.run([sys.executable, "-m", "compactfd", *argv], capture_output=True,
                           text=True, timeout=20, preexec_fn=_one_cpu_second_in_1_gib)
@@ -441,11 +454,97 @@ def test_huge_inputs_answer_or_exit_2_within_a_cpu_second(name, tmp_path, capsys
         assert proc.stdout == "" and proc.stderr.startswith("error:")
         assert proc.stderr.count("\n") == 1
         return
-    # the clamp keeps the compact class, so the answer is the clamped spec's
-    flag, value = clamped
+    # alpha or beta past m keeps the compact class, so the answer is the one
+    # for the value within m
+    flag, value = in_class
     at = argv.index(flag)
     assert main(argv[: at + 1] + [value] + argv[at + 2 :]) == 0
     assert proc.stdout == capsys.readouterr().out
+
+
+LIBRARY = """
+from compactfd import enum_solver, tw_dp
+from compactfd.annotate import center_tuples
+from compactfd.model import CompactnessSpec as S, FairnessGoal as G, Instance
+PATH4 = Instance(4, [(0, 1), (1, 2), (2, 3)], [[1, 2, 3, 4], [4, 3, 2, 1]])
+"""
+BOUNDED_CALLS = {
+    # name: (a library call, its alpha or beta past m, the same within m)
+    "answer_tw-beta": ("tw_dp.answer_tw(PATH4, S(1, {}), G.MAXIMIN)", 300, 3),
+    "answer_enum-alpha": ("enum_solver.answer_enum(PATH4, S({}, 1), G.PROPORTIONAL)", 10**8, 4),
+    "mms_tw_all-alpha": ("tw_dp.mms_tw_all(PATH4, S({}, 1))", 10**8, 4),
+    "center_tuples-alpha": ("list(center_tuples(PATH4, {}))", 10**8, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDED_CALLS))
+def test_library_bounds_alpha_and_beta_past_m(name):
+    # each loop sized by alpha or beta stops at what it ranges over, so the
+    # call answers in a child under 1 s of CPU and 1 GiB, as its class within m
+    call, past_m, within_m = BOUNDED_CALLS[name]
+    proc = subprocess.run([sys.executable, "-c", f"{LIBRARY}print(repr({call.format(past_m)}))"],
+                          capture_output=True, text=True, timeout=20,
+                          preexec_fn=_one_cpu_second_in_1_gib)
+    assert proc.returncode == 0, proc.stderr
+    namespace: dict = {}
+    exec(LIBRARY, namespace)
+    assert proc.stdout == repr(eval(call.format(within_m), namespace)) + "\n"
+
+
+VALID = json.dumps({"m": 4, "edges": [[0, 1], [1, 2], [2, 3]],
+                    "agents": [{"values": [1, 2, 3, 4]}, {"values": [4, 3, 2, 1]}]})
+_leaf = (st.none() | st.booleans() | st.integers(-2, 6) | st.sampled_from([2.5, 1e308, 10**12])
+         | st.text(max_size=3))
+_json = st.recursive(_leaf, lambda kids: st.lists(kids, max_size=4) | st.dictionaries(
+    st.sampled_from(["m", "edges", "agents", "values", "name"]), kids, max_size=4), max_leaves=10)
+_small = st.integers(-1, 5) | _json
+_near_instance = st.fixed_dictionaries({
+    "m": _small,
+    "edges": st.lists(st.lists(_small, max_size=3), max_size=4) | _json,
+    "agents": st.lists(st.fixed_dictionaries({"values": st.lists(_small, max_size=5)},
+                                             optional={"name": _json}), max_size=2) | _json,
+})
+_cut_valid = st.integers(0, len(VALID) - 1).map(lambda k: VALID[:k])
+_instance_text = _near_instance.map(json.dumps) | _json.map(json.dumps) | _cut_valid
+_token = st.integers(-1, 5).map(str) | st.sampled_from(["99999999999", "x", "1.5", "td"])
+_td_line = (st.lists(_token, max_size=3).map(lambda ts: " ".join(["b", *ts]))
+            | st.lists(_token, min_size=1, max_size=3).map(" ".join)
+            | st.lists(_token, max_size=4).map(lambda ts: " ".join(["s", "td", *ts]))
+            | st.just("c a comment"))
+_header = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 5)).map(
+    lambda h: "s td %d %d %d" % h)
+_td_text = st.tuples(_header | _td_line, st.lists(_td_line, max_size=5)).map(
+    lambda t: "\n".join([t[0], *t[1]]))
+_requests = (
+    # a malformed instance for each subcommand, or a malformed .td for tw-dp
+    st.tuples(_instance_text, st.just(""), st.sampled_from([
+        ["recognize"], ["recognize", "--strong"], ["solve", "--goal", "prop"],
+        ["solve", "--goal", "mms"], ["solve", "--goal", "welfare", "--method", "enum"],
+        ["mms", "--agent", "1"]]))
+    | st.tuples(st.just(VALID), _td_text, st.sampled_from([
+        ["solve", "--goal", "prop", "--method", "tw-dp", "--td"],
+        ["solve", "--goal", "mms", "--method", "tw-dp", "--td"]]))
+)
+
+
+# malformed instance JSON and .td text: every answer is a result or one
+# error line, and no exception escapes main
+@settings(derandomize=True, deadline=None, max_examples=300,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_requests, st.sampled_from([0, 1, 2]), st.sampled_from([0, 1, 10**8]))
+def test_malformed_files_exit_0_or_2(tmp_path, capsys, case, alpha, beta):
+    instance_text, td_text, command = case
+    inst, td = tmp_path / "inst.json", tmp_path / "inst.td"
+    inst.write_text(instance_text)
+    td.write_text(td_text)
+    argv = [command[0], str(inst), *command[1:]] + ([str(td)] if command[-1] == "--td" else [])
+    rc = main(argv + ["--alpha", str(alpha), "--beta", str(beta)])
+    out, err = capsys.readouterr()
+    assert rc in (0, 2), (rc, err)
+    if rc == 2:
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1, err
+    else:
+        json.loads(out)
 
 
 def test_gen_club_cli(capsys):

@@ -52,8 +52,15 @@ def instances(draw, max_agents=2, path=False, min_agents=1, max_items=5):
 @st.composite
 def cases(draw, max_beta=2, **shape):
     inst = draw(instances(**shape))
-    spec = CompactnessSpec(draw(st.integers(1, 2)), draw(st.integers(0, max_beta)))
-    return inst, spec
+    alpha, beta = draw(st.integers(1, 2)), draw(st.integers(0, max_beta))
+    # alpha and beta may also move to m or past it, which names the class of
+    # alpha m and beta m - 1.  At alpha m every assignment of the items to the
+    # agents or to no one is a center tuple, and tw-dp sweeps up to (n + 1)^m
+    # of them, so those draws stay where that is at most 27.
+    if (inst.n + 1) ** inst.m <= 27:
+        past_m = st.sampled_from([None, inst.m, inst.m + 1, 10**9])
+        alpha, beta = draw(past_m) or alpha, draw(past_m) or beta
+    return inst, CompactnessSpec(alpha, beta)
 
 
 def meets(inst, spec, goal, alloc, shares=None) -> bool:

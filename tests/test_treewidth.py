@@ -31,6 +31,8 @@ def test_parse_rejects_cycles_and_malformed():
         parse_td("s td 1 1 1\nb 2 1\n")
     with pytest.raises(ValueError):
         parse_td("b 1 1\n")
+    with pytest.raises(ValueError, match="malformed bag line"):
+        parse_td("s td 1 1 2\nb\n")
 
 
 def test_format_round_trip():
