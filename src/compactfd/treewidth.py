@@ -34,8 +34,9 @@ def parse_td(text: str) -> TreeDecomposition:
     bag lines 'b <id> <v...>' with 1-indexed ids, remaining lines tree edges.
 
     Vertices are converted to 0-indexed.  Comment lines starting with 'c' are
-    skipped.  Raises ValueError on malformed input, out-of-range bag indices,
-    or node edges that do not form a tree.
+    skipped.  Raises ValueError on malformed input, a negative header field,
+    out-of-range bag indices, a bag that lists a vertex twice or holds more
+    than the header's max bag size, or node edges that do not form a tree.
     """
     header = None
     bags: dict[int, frozenset[int]] = {}
@@ -51,6 +52,8 @@ def parse_td(text: str) -> TreeDecomposition:
             if len(parts) != 5 or parts[1] != "td":
                 raise ValueError(f"malformed header: {line!r}")
             header = (int(parts[2]), int(parts[3]), int(parts[4]))
+            if min(header) < 0:
+                raise ValueError(f"negative header field: {line!r}")
         elif parts[0] == "b":
             if header is None:
                 raise ValueError("bag line before header")
@@ -64,7 +67,12 @@ def parse_td(text: str) -> TreeDecomposition:
             verts = [int(x) for x in parts[2:]]
             if any(not (1 <= v <= header[2]) for v in verts):
                 raise ValueError(f"bag {bid}: vertex out of range")
-            bags[bid] = frozenset(v - 1 for v in verts)
+            bag = frozenset(v - 1 for v in verts)
+            if len(bag) < len(verts):
+                raise ValueError(f"bag {bid}: a vertex listed twice")
+            if len(bag) > header[1]:
+                raise ValueError(f"bag {bid}: more than {header[1]} vertices")
+            bags[bid] = bag
         else:
             if header is None:
                 raise ValueError("edge line before header")

@@ -43,10 +43,14 @@ end's block to the lower end's root, and a join merges two root maps
 (`acyclic_join`).  The encoding is canonical, so states are hashable and the
 sweep deterministic.
 
-The states of one node differ mostly in w, so each transition computes its
-bag-local update (the new agent tuples) once per distinct agent tuple of its
-input and then only adds up w per state.  The memo lives for one transition
-call; tables, their order and their back-pointers are as without it.
+Every table maps a state to its first predecessor in child order: None at
+a leaf, the child state at a unary node, the (left, right) pair at a join.
+The witness is read back along them (`RootTable.extract`).  The states of
+one node differ mostly in w, so one driver (`_unary`) runs every unary
+transition: it lists the bag-local moves (new agent tuple, value column) of
+each distinct agent tuple of its input once and then only adds up w per
+state; a join memoises its per-agent joins likewise.  The memos live for one
+transition call and leave every table and its order as they were.
 """
 from __future__ import annotations
 
@@ -81,8 +85,8 @@ from .treewidth import (
     nicefy,
 )
 
-AgentState = tuple  # (S, f, r)
 StateKey = tuple  # (agents, w)
+Table = dict  # StateKey -> its first predecessor in child order
 _UNSEEN = object()  # memo miss, where None is a memoised answer
 
 
@@ -150,139 +154,113 @@ class DPContext:
         self.ceilings: dict[int, int] = {}  # state ceiling per bag size (_state_guard)
 
 
-def leaf_states(ctx: DPContext) -> dict[StateKey, tuple]:
+def leaf_states(ctx: DPContext) -> Table:
     """The single reachable state at a leaf: each hub alone in its bundle,
-    nothing forgotten yet."""
+    nothing forgotten yet.  It has no predecessor."""
     n = ctx.n
     agents = tuple(((ctx.hubs[i],), (0,), (ctx.hubs[i],)) for i in range(n))
-    return {(agents, (0,) * (n * n)): ("leaf",)}
+    return {(agents, (0,) * (n * n)): None}
 
 
-def _take_vertex(agents: tuple, z: int, movers: list) -> list:
-    """Bag-local part of introducing z: per agent i that may take it, the
-    agent tuples for each label it may get, in label order.  z comes in as
-    the root of its own block."""
-    takes = []
+def _unary(child: Table, local) -> Table:
+    """One unary transition: `local(agents)`, a bag-local helper with its
+    node's arguments bound, lists the moves of an agent tuple as (new agents,
+    value column added to w or None), once per distinct agent tuple; each
+    child state then makes one state per move, mapped first-wins to that
+    child state."""
+    moves_of: dict[tuple, list] = {}
+    out: Table = {}
+    for state in child:
+        agents, w = state
+        moves = moves_of.get(agents)
+        if moves is None:
+            moves = moves_of[agents] = local(agents)
+        for new_agents, column in moves:
+            out.setdefault((new_agents, w if column is None else tuple(map(add, w, column))), state)
+    return out
+
+
+def _take_vertex(z: int, movers: list, complete: bool, agents: tuple) -> list:
+    """Bag-local part of introducing z: z left out (unless `complete`), then
+    per agent i that may take it the agent tuple for each label it may get,
+    in label order.  z comes in as the root of its own block, and w counts
+    it only once it is forgotten."""
+    moves = [] if complete else [(agents, None)]
     for i, labels in movers:
         s_i, f_i, r_i = agents[i]
         pos = bisect(s_i, z)
         new_s = s_i[:pos] + (z,) + s_i[pos:]
         new_r = r_i[:pos] + (z,) + r_i[pos:]
         head, tail = agents[:i], agents[i + 1 :]
-        options = [
-            head + ((new_s, f_i[:pos] + (fv,) + f_i[pos:], new_r),) + tail
+        moves += [
+            (head + ((new_s, f_i[:pos] + (fv,) + f_i[pos:], new_r),) + tail, None)
             for fv in labels
         ]
-        takes.append((i, options))
-    return takes
+    return moves
 
 
-def introduce_vertex_transition(
-    child: dict[StateKey, tuple], z: int, ctx: DPContext
-) -> dict[StateKey, tuple]:
-    # per agent that may take z: the labels it may get (w counts z only
-    # once z is forgotten)
+def introduce_vertex_transition(child: Table, z: int, ctx: DPContext) -> Table:
+    # per agent that may take z: the labels it may get
     movers = []
     for i in range(ctx.n):
         dist = ctx.hub_dist[i].get(z)
         labels = range(max(1, dist), ctx.beta + 1) if dist is not None else ()
         if labels:
             movers.append((i, labels))
-    takes_of: dict[tuple, list] = {}  # bag-local update, once per agents tuple
-    out: dict[StateKey, tuple] = {}
-    for state in child:
-        if not ctx.complete:
-            out.setdefault(state, ("skip", state))
-        agents, w = state
-        takes = takes_of.get(agents)
-        if takes is None:
-            takes = takes_of[agents] = _take_vertex(agents, z, movers)
-        for i, options in takes:
-            ref = ("take", state, i, z)
-            for new_agents in options:
-                out.setdefault((new_agents, w), ref)
-    return out
+    return _unary(child, partial(_take_vertex, z, movers, ctx.complete))
 
 
-def _forget_vertex(agents: tuple, z: int, columns: list) -> Optional[tuple]:
-    """Bag-local part of forgetting z: the new agent tuple and the value
+def _forget_vertex(z: int, columns: list, agents: tuple) -> list:
+    """Bag-local part of forgetting z: the new agent tuple with the value
     column z adds to w (its owner's entry of `columns`, None when z is
-    unallocated), or None when z is its component's root.  A vertex alone in
-    its block is that block's root, so a component never loses its last bag
-    vertex either."""
+    unallocated), or nothing when z is its component's root.  A vertex alone
+    in its block is that block's root, so a component never loses its last
+    bag vertex either."""
     for owner, (s_i, f_i, r_i) in enumerate(agents):
         if z in s_i:
             break
     else:
-        return agents, None
+        return [(agents, None)]
     pos = s_i.index(z)
     if r_i[pos] == z:
-        return None  # the component would lose its distance anchor
+        return []  # the component would lose its distance anchor
     cut = (s_i[:pos] + s_i[pos + 1 :], f_i[:pos] + f_i[pos + 1 :], r_i[:pos] + r_i[pos + 1 :])
-    return agents[:owner] + (cut,) + agents[owner + 1 :], columns[owner]
+    return [(agents[:owner] + (cut,) + agents[owner + 1 :], columns[owner])]
 
 
-def forget_transition(
-    child: dict[StateKey, tuple], z: int, ctx: DPContext
-) -> dict[StateKey, tuple]:
+def forget_transition(child: Table, z: int, ctx: DPContext) -> Table:
     n = ctx.n
     # per owner i: z's values, in column i of the flat row-major w
     columns = [
         tuple(ctx.values[p][z] if j == i else 0 for p in range(n) for j in range(n))
         for i in range(n)
     ]
-    forgotten: dict[tuple, Optional[tuple]] = {}  # once per agents tuple
-    out: dict[StateKey, tuple] = {}
-    for state in child:
-        agents, w = state
-        got = forgotten.get(agents, _UNSEEN)
-        if got is _UNSEEN:
-            got = forgotten[agents] = _forget_vertex(agents, z, columns)
-        if got is not None:
-            new_agents, column = got
-            if column is not None:
-                w = tuple(map(add, w, column))
-            out.setdefault((new_agents, w), ("fwd", state))
-    return out
+    return _unary(child, partial(_forget_vertex, z, columns))
 
 
-def _add_edge(agents: tuple, z1: int, z2: int) -> Optional[tuple]:
-    """Bag-local part of introducing edge z1-z2: the agent tuple with the
-    edge in the witness forest of the agent owning both ends, or None when
-    no agent can use it.  The upper end must be its own root; its block joins
-    the lower end's, whose root roots the merged block.  A root carries its
-    block's least label, so the lower end is never in the upper end's block."""
+def _add_edge(z1: int, z2: int, agents: tuple) -> list:
+    """Bag-local part of introducing edge z1-z2: the agent tuple as it is,
+    then with the edge in the witness forest of the agent owning both ends
+    if that agent can use it.  The upper end must be its own root; its block
+    joins the lower end's, whose root roots the merged block.  A root
+    carries its block's least label, so the lower end is never in the upper
+    end's block."""
+    moves = [(agents, None)]
     for i, (s_i, f_i, r_i) in enumerate(agents):
         if z1 not in s_i or z2 not in s_i:
             continue
         k1, k2 = s_i.index(z1), s_i.index(z2)
-        if abs(f_i[k1] - f_i[k2]) != 1:
-            return None
         low, high = (k1, k2) if f_i[k1] < f_i[k2] else (k2, k1)
         top, root = s_i[high], r_i[low]
-        if r_i[high] != top:
-            return None
-        new_r = tuple(root if r == top else r for r in r_i)
-        return agents[:i] + ((s_i, f_i, new_r),) + agents[i + 1 :]
-    return None  # the endpoints belong to at most one common agent
+        if f_i[high] - f_i[low] == 1 and r_i[high] == top:
+            new_r = tuple(root if r == top else r for r in r_i)
+            moves.append((agents[:i] + ((s_i, f_i, new_r),) + agents[i + 1 :], None))
+        break  # the endpoints belong to at most one common agent
+    return moves
 
 
-def introduce_edge_transition(
-    child: dict[StateKey, tuple], edge: tuple[int, int], ctx: DPContext
-) -> dict[StateKey, tuple]:
-    z1, z2 = edge
-    linked: dict[tuple, Optional[tuple]] = {}  # once per agents tuple
-    out: dict[StateKey, tuple] = {}
-    for state in child:
-        ref = ("fwd", state)
-        out.setdefault(state, ref)
-        agents, w = state
-        new_agents = linked.get(agents, _UNSEEN)
-        if new_agents is _UNSEEN:
-            new_agents = linked[agents] = _add_edge(agents, z1, z2)
-        if new_agents is not None:
-            out.setdefault((new_agents, w), ref)
-    return out
+def introduce_edge_transition(child: Table, edge: tuple[int, int], ctx: DPContext) -> Table:
+    return _unary(child, partial(_add_edge, *edge))
 
 
 def _join_agents(key: tuple, left: tuple, right: tuple, memo: dict) -> Optional[tuple]:
@@ -301,12 +279,7 @@ def _join_agents(key: tuple, left: tuple, right: tuple, memo: dict) -> Optional[
     return tuple(joined)
 
 
-def join_transition(
-    left: dict[StateKey, tuple],
-    right: dict[StateKey, tuple],
-    bag: frozenset[int],
-    ctx: DPContext,
-) -> dict[StateKey, tuple]:
+def join_transition(left: Table, right: Table, bag: frozenset[int], ctx: DPContext) -> Table:
     # states grouped by each agent's (S, f), the part both sides must share
     buckets_l: dict[tuple, list[StateKey]] = {}
     buckets_r: dict[tuple, list[StateKey]] = {}
@@ -314,7 +287,7 @@ def join_transition(
         for state in table:
             buckets.setdefault(tuple((ag[0], ag[1]) for ag in state[0]), []).append(state)
     agent_joins: dict[tuple, Optional[tuple]] = {}
-    out: dict[StateKey, tuple] = {}
+    out: Table = {}
     for key in (k for k in buckets_l if k in buckets_r):
         # per distinct left agent tuple: the right states it joins with, in
         # right order, each with the joined agent tuple
@@ -329,7 +302,7 @@ def join_transition(
                     if (joined := _join_agents(key, agents, rs[0], agent_joins)) is not None
                 ]
             for rs, new_agents in found:
-                out.setdefault((new_agents, tuple(map(add, w, rs[1]))), ("join", ls, rs))
+                out.setdefault((new_agents, tuple(map(add, w, rs[1]))), (ls, rs))
     return out
 
 
@@ -361,9 +334,9 @@ class RootTable:
     ann: AnnotatedInstance
     nice: NiceTreeDecomposition
     ctx: DPContext
-    tables: list[dict[StateKey, tuple]]
+    tables: list[Table]
 
-    def root_slice(self) -> dict[StateKey, tuple]:
+    def root_slice(self) -> Table:
         return self.tables[self.nice.root]
 
     def root_weights(self) -> set[tuple[int, ...]]:
@@ -378,29 +351,29 @@ class RootTable:
 
     def extract(self, root_state: StateKey) -> Allocation:
         """Witness allocation (annotated vertex ids, hubs included) for a
-        reachable root state, re-validated before returning."""
+        reachable root state, re-validated before returning.
+
+        It walks the states' predecessors (None at a leaf, the child state at
+        a unary node, the (left, right) pair at a join) down from the root.
+        At an introduce-vertex node the vertex's owner, if it has one, is the
+        agent whose S holds it in the state itself."""
         n = self.ctx.n
         assigned: dict[int, int] = {}
         stack = [(self.nice.root, root_state)]
+        join, introduce = NodeKind.JOIN, NodeKind.INTRODUCE_VERTEX
         while stack:
             node_id, state = stack.pop()
-            ref = self.tables[node_id][state]
             node = self.nice.nodes[node_id]
-            kind = ref[0]
-            if kind == "leaf":
-                continue
-            if kind in ("skip", "fwd"):
-                stack.append((node.children[0], ref[1]))
-            elif kind == "take":
-                _, child_state, agent, vertex = ref
-                prev = assigned.get(vertex)
-                if prev is not None and prev != agent:
-                    raise RuntimeError("witness reconstruction assigned a vertex twice")
-                assigned[vertex] = agent
-                stack.append((node.children[0], child_state))
-            else:  # join
-                stack.append((node.children[0], ref[1]))
-                stack.append((node.children[1], ref[2]))
+            prev = self.tables[node_id][state]
+            if node.kind is join:
+                stack += zip(node.children, prev)
+            elif prev is not None:
+                if node.kind is introduce:
+                    z = node.vertex
+                    for owner, (s_i, _f, _r) in enumerate(state[0]):
+                        if z in s_i and assigned.setdefault(z, owner) != owner:
+                            raise RuntimeError("witness reconstruction assigned a vertex twice")
+                stack.append((node.children[0], prev))
         bundles = [set([self.ctx.hubs[i]]) for i in range(n)]
         for vertex, agent in assigned.items():
             bundles[agent].add(vertex)
@@ -430,7 +403,7 @@ def run_dp(
     if frozenset(ann.hubs) != nice.anchors:
         raise ValueError("decomposition anchors must be the hub vertices")
     ctx = DPContext(ann, complete)
-    tables: list[dict[StateKey, tuple]] = []
+    tables: list[Table] = []
     for node in nice.nodes:
         if node.kind is NodeKind.LEAF:
             table = leaf_states(ctx)

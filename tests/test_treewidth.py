@@ -33,6 +33,17 @@ def test_parse_rejects_cycles_and_malformed():
         parse_td("b 1 1\n")
     with pytest.raises(ValueError, match="malformed bag line"):
         parse_td("s td 1 1 2\nb\n")
+    with pytest.raises(ValueError, match="listed twice"):
+        parse_td("s td 1 3 3\nb 1 1 2 3 3\n")
+    with pytest.raises(ValueError, match="more than 1 vertices"):
+        parse_td("s td 1 1 3\nb 1 1 2 3\n")
+    for header in ("s td -1 0 3", "s td 1 -1 3", "s td 1 1 -3"):
+        with pytest.raises(ValueError, match="negative header field"):
+            parse_td(header + "\nb 1\n")
+    # decompose's output parses back, the empty graph's one empty bag too
+    empty = TreeDecomposition((frozenset(),), ())
+    assert format_td(empty, 0) == "s td 1 0 0\nb 1\n"
+    assert parse_td(format_td(empty, 0)) == empty
 
 
 def test_format_round_trip():

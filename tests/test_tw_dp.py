@@ -142,6 +142,11 @@ def test_hand_trace_star_join():
     assert any(nd.kind is NodeKind.JOIN for nd in nice.nodes)
     table = run_dp(ann, nice)
     assert table.root_weights() == {(0,), (3,), (4,), (7,)}
+    # each item hangs off the hub from its own side of the join; every root
+    # state's witness comes back through the join with the value in w
+    for state in table.root_slice():
+        lifted = lift_allocation(ann, table.extract(state))
+        assert (bundle_value(inst, 0, lifted.bundles[0]),) == state[1]
 
 
 def direct_annotated_weights(ann):
@@ -576,7 +581,9 @@ def test_transitions_equal_their_state_by_state_runs():
     """Each transition computes its bag-local update once per distinct agent
     tuple; that sharing must not show: unary transitions give the same keys,
     order and back-pointers as one-state runs, joins the same mapping as
-    one-pair runs."""
+    one-pair runs.  A back-pointer is the state's predecessor: None at a
+    leaf, a key of the child table at a unary node, a (left key, right key)
+    pair at a join."""
     from compactfd.tw_dp import (
         forget_transition,
         introduce_edge_transition,
@@ -617,12 +624,16 @@ def test_transitions_equal_their_state_by_state_runs():
                             ).items():
                                 pairwise.setdefault(key, back)
                     assert got == pairwise
+                    assert all(len(prev) == 2 and prev[0] in left and prev[1] in right
+                               for prev in got.values())
                 elif node.kind in unary:
                     transition, attr = unary[node.kind]
                     child = table.tables[node.children[0]]
                     want = _state_by_state(transition, child, getattr(node, attr), table.ctx)
                     assert list(got.items()) == list(want.items())
+                    assert all(prev in child for prev in got.values())
                 else:
+                    assert list(got.values()) == [None]
                     continue
                 if got:
                     seen.add(node.kind)
